@@ -41,7 +41,7 @@ from .response_surface import (
     model_from_json,
     model_to_json,
 )
-from .solver import SolverConfig, solve
+from .solver import BUDGET_EXHAUSTED, SolverConfig, solve
 
 DEFAULT_SEED = 42
 
@@ -177,17 +177,38 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _scenario_optima(text: str) -> list[float]:
+    """Optima column of a scenarios CSV, in scenario order.
+
+    Rows must carry indices 0, 1, 2, ... in order, and a row whose solve ran
+    out of budget holds no optimum, so both are refused with the line named.
+    """
+    optima: list[float] = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if lineno == 1 or not line.strip():
+            continue
+        cols = line.split(",")
+        if len(cols) != 4:
+            raise ParseError(f"expected 'index,bits,value,status', got {line!r}", lineno)
+        index, _bits, value, status = cols
+        if index != str(len(optima)):
+            raise ParseError(f"scenario index {index!r}, expected {len(optima)}", lineno)
+        if status == BUDGET_EXHAUSTED:
+            raise ParseError(f"scenario {index} is {status}, not an optimum", lineno)
+        try:
+            optima.append(float(value))
+        except ValueError:
+            raise ParseError(f"non-numeric value {value!r}", lineno) from None
+    return optima
+
+
 def _fit_from_args(args, gen, config):
     diff = differing_elements(gen)
     if args.design is not None and args.scenarios is not None:
         design, csv_diff = design_from_csv(_read_text(args.design))
         if csv_diff.positions != diff.positions:
             raise ValueError("design columns do not match the generators' differing elements")
-        optima = []
-        for line in _read_text(args.scenarios).splitlines()[1:]:
-            if line.strip():
-                optima.append(float(line.split(",")[2]))
-        return fit_model(design, optima, diff)
+        return fit_model(design, _scenario_optima(_read_text(args.scenarios)), diff)
     if args.design is not None or args.scenarios is not None:
         raise ValueError("--design and --scenarios must be given together")
     _diff, _k, design, _instances = scenario_instances(gen)
@@ -196,6 +217,12 @@ def _fit_from_args(args, gen, config):
             "regression needs k - d - 1 >= 1 residual degrees of freedom, got k=1, d=0"
         )
     _report, results = run_robust_analysis(gen, config)
+    for r in results:
+        if r.status == BUDGET_EXHAUSTED:
+            raise ValueError(
+                f"scenario {r.scenario_index} is {r.status}, not an optimum; "
+                "raise --budget or pass --budget 0"
+            )
     return fit_model(design, [r.value for r in results], diff)
 
 

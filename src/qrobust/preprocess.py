@@ -1,17 +1,30 @@
 """Variable fixing by diagonal dominance and the associated sensitivity ranges.
 
-A variable with a positive diagonal that outweighs twice the sum of its
-negative off-diagonal coefficients is 1 in every optimal solution
-(diagonally dominant); the mirror condition against the positive
-off-diagonal sum forces 0 (diagonally recessive).  Fixed variables are
-folded out of the matrix, which can enable further fixing, so the scan
-repeats to a fixpoint.
+The fixing rule (Lewis & Glover, "QUBO problem preprocessing: theory and
+empirical analysis", Networks 2017) reads, for variable i, the diagonal
+c_ii, the doubled negative off-diagonal row sum N_i = 2 * sum_{j, c_ij < 0}
+c_ij and the doubled positive one P_i:
+
+* strict dominance: c_ii > 0 and c_ii + N_i > 0 puts x_i = 1 in every optimum;
+* strict recessiveness: c_ii < 0 and c_ii + P_i < 0 puts x_i = 0 in every optimum;
+* weak rules for a zero diagonal: with N_i = 0 < P_i, x_i = 1 is in some
+  optimum; with P_i = 0 > N_i, x_i = 0 is;
+* a variable whose diagonal and row are all zero stays free.
+
+The slack of variable i is c_ii + N_i for a nonnegative diagonal and
+c_ii + P_i for a negative one.  Fixed variables are folded out of the
+matrix, which can enable further fixing, so the scan repeats to a
+fixpoint.  Everything here works on a dense split of the matrix into its
+diagonal vector and its symmetric, zero-diagonal off-diagonal part, so row
+sums run in index order whatever order the coefficients were stored in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .qubo import QuboInstance
 
@@ -62,48 +75,80 @@ class SensitivityReport:
         ]
 
 
-def _row_sums(instance: QuboInstance) -> tuple[list[float], list[float], list[float]]:
-    """Per-variable diagonal, doubled negative and doubled positive row sums."""
-    diag = [0.0] * instance.n
-    neg = [0.0] * instance.n
-    pos = [0.0] * instance.n
-    for (i, j), v in instance.coefficients.items():
-        if i == j:
-            diag[i] = v
-        elif v < 0.0:
-            neg[i] += 2.0 * v
-            neg[j] += 2.0 * v
-        else:
-            pos[i] += 2.0 * v
-            pos[j] += 2.0 * v
-    return diag, neg, pos
+def _split(instance: QuboInstance) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal vector and symmetric off-diagonal matrix (zero diagonal)."""
+    o = instance.to_dense()
+    d = o.diagonal().copy()
+    np.fill_diagonal(o, 0.0)
+    return d, o
 
 
-def _classify(diag: float, neg: float, pos: float) -> tuple[float, str, bool]:
-    """Slack value, fixable classification and strictness for one variable.
+def _instance(d: np.ndarray, o: np.ndarray, name: str | None) -> QuboInstance:
+    """Sparse instance of a dense split, entries in (i, j) order."""
+    q = np.triu(o)
+    q[np.diag_indices(d.size)] = d
+    rows, cols = np.nonzero(q)
+    coeffs = dict(zip(zip(rows.tolist(), cols.tolist()), q[rows, cols].tolist()))
+    return QuboInstance(n=d.size, coefficients=coeffs, name=name)
 
-    Nonnegative diagonals report the dominance slack diag + neg (how far the
-    diagonal may drop while the variable stays pinned at 1); negative
-    diagonals report the recessive slack diag + pos (negative when the
-    variable is pinned at 0, and its magnitude is how far the diagonal may
-    rise).
+
+def _classify(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixing rule of the module docstring, for every variable at once.
+
+    Returns the slack ``delta``, the forced ``bit`` (1, 0, or -1 for free)
+    and whether the fix is ``strict`` (holds in every optimum).
     """
-    if diag >= 0.0:
-        delta = diag + neg
-        if diag > 0.0 and delta > 0.0:
-            return delta, FIX_ONE, True
-        if neg == 0.0 and pos > 0.0:
-            # zero diagonal, every off-diagonal nonnegative, one strictly
-            # positive: setting the variable to 1 never hurts.
-            return delta, FIX_ONE, False
-        if diag == 0.0 and pos == 0.0 and neg < 0.0:
-            # mirror case: setting the variable to 0 never hurts.
-            return delta, FIX_ZERO, False
-        return delta, FIX_NONE, False
-    delta = diag + pos
-    if delta < 0.0:
-        return delta, FIX_ZERO, True
-    return delta, FIX_NONE, False
+    neg = 2.0 * np.minimum(o, 0.0).sum(axis=1)
+    pos = 2.0 * np.maximum(o, 0.0).sum(axis=1)
+    up = d + neg
+    dn = d + pos
+    one = (d > 0.0) & (up > 0.0)
+    zero = (d < 0.0) & (dn < 0.0)
+    strict = one | zero
+    flat = d == 0.0
+    if flat.any():  # the weak rules; most rows have a nonzero diagonal
+        one = one | (flat & (neg == 0.0) & (pos > 0.0))
+        zero = zero | (flat & (pos == 0.0) & (neg < 0.0))
+    return np.where(d >= 0.0, up, dn), np.where(one, 1, zero - 1), strict
+
+
+def _fold_fixed(
+    d: np.ndarray, o: np.ndarray, bit: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Fold the variables with ``bit`` 0 or 1 out of (d, o) as ``reduce_instance`` does.
+
+    Returns the constant, the survivors' positions and their (d, o).
+    """
+    keep = (bit < 0).nonzero()[0]
+    s1 = (bit == 1).nonzero()[0]
+    rows = o.take(keep, axis=0)
+    constant = float(d[s1].sum() + o.take(s1, axis=0).take(s1, axis=1).sum())
+    d = d[keep] + (2.0 * rows.take(s1, axis=1).sum(axis=1) if s1.size else 0.0)
+    return constant, keep, d, rows.take(keep, axis=1)
+
+
+def _fold(d: np.ndarray, o: np.ndarray, constant: float = 0.0) -> tuple:
+    """Fix whatever ``_classify`` decides and fold it out, repeating to a fixpoint.
+
+    Each round classifies the survivors against the current folded matrix
+    and fixes all that a rule decides at once.  Returns (steps, constant,
+    survivors, d, o, delta): one (positions, bits, strict, deltas) step per
+    fixing round in ascending position, ``constant`` plus every round's
+    constant, the survivors' positions and folded (d, o), and their slack
+    in the final scan, which fixed nothing.  Positions index the input.
+    """
+    survivors = np.arange(d.size)
+    steps = []
+    while True:
+        delta, bit, strict = _classify(d, o)
+        fixed = bit >= 0
+        if not fixed.any():
+            return steps, constant, survivors, d, o, delta
+        hit = fixed.nonzero()[0]
+        steps.append((survivors[hit], bit[hit], strict[hit], delta[hit]))
+        step, keep, d, o = _fold_fixed(d, o, bit)
+        constant += step
+        survivors = survivors[keep]
 
 
 def fix_slack(instance: QuboInstance, i: int) -> float:
@@ -116,8 +161,7 @@ def fix_slack(instance: QuboInstance, i: int) -> float:
     """
     if not (0 <= i < instance.n):
         raise ValueError(f"variable index {i} out of range for n={instance.n}")
-    diag, neg, pos = _row_sums(instance)
-    return _classify(diag[i], neg[i], pos[i])[0]
+    return float(_classify(*_split(instance))[0][i])
 
 
 def pair_slack(instance: QuboInstance, i: int, j: int) -> float:
@@ -130,11 +174,10 @@ def pair_slack(instance: QuboInstance, i: int, j: int) -> float:
         raise ValueError("variable index out of range")
     if i == j:
         raise ValueError("pair slack requires two distinct variables")
-    diag, neg, _pos = _row_sums(instance)
-    delta = diag[i] + neg[i]
-    if diag[i] <= 0.0 or delta <= 0.0:
-        raise ValueError(f"variable {i} is not strictly dominant (slack {delta})")
-    return delta / 2.0
+    delta, bit, strict = _classify(*_split(instance))
+    if bit[i] != 1 or not strict[i]:
+        raise ValueError(f"variable {i} is not strictly dominant (slack {delta[i]})")
+    return float(delta[i]) / 2.0
 
 
 def reduce_instance(
@@ -148,41 +191,17 @@ def reduce_instance(
     accumulated constant; the caller can recover original indices from the
     survivors' sorted order.
     """
-    fixes = list(assignments)
-    seen: set[int] = set()
-    for i, b in fixes:
+    bit = np.full(instance.n, -1, dtype=np.int8)
+    for i, b in assignments:
         if not (0 <= i < instance.n):
             raise ValueError(f"assignment index {i} out of range")
         if b not in (0, 1):
             raise ValueError(f"assignment bit must be 0 or 1, got {b!r}")
-        if i in seen:
+        if bit[i] >= 0:
             raise ValueError(f"duplicate assignment for variable {i}")
-        seen.add(i)
-
-    work = dict(instance.coefficients)
-    constant = 0.0
-    removed: set[int] = set()
-    for i, b in sorted(fixes):
-        if b == 1:
-            constant += work.pop((i, i), 0.0)
-            for (p, q), v in list(work.items()):
-                if p == i or q == i:
-                    j = q if p == i else p
-                    work[(j, j)] = work.get((j, j), 0.0) + 2.0 * v
-                    del work[(p, q)]
-        else:
-            for key in [k for k in work if i in k]:
-                del work[key]
-        removed.add(i)
-
-    survivors = [i for i in range(instance.n) if i not in removed]
-    remap = {orig: new for new, orig in enumerate(survivors)}
-    reduced = QuboInstance(
-        n=len(survivors),
-        coefficients={(remap[i], remap[j]): v for (i, j), v in work.items()},
-        name=instance.name,
-    )
-    return reduced, constant
+        bit[i] = b
+    constant, _keep, d, o = _fold_fixed(*_split(instance), bit)
+    return _instance(d, o, instance.name), constant
 
 
 def fix_variables(instance: QuboInstance) -> FixReport:
@@ -193,40 +212,20 @@ def fix_variables(instance: QuboInstance) -> FixReport:
     and rescans, because folding can newly enable a rule.  The final no-op
     scan counts toward ``rounds``.
     """
+    steps, constant, survivors, d, o, _delta = _fold(*_split(instance))
     assignments: list[tuple[int, int]] = []
     strict_flags: list[bool] = []
     fix_deltas: list[float] = []
-    constant = 0.0
-    current = instance
-    index_map = list(range(instance.n))
-    rounds = 0
-    while True:
-        rounds += 1
-        diag, neg, pos = _row_sums(current)
-        found: list[tuple[int, int, bool, float]] = []
-        for i in range(current.n):
-            delta, fixable, strict = _classify(diag[i], neg[i], pos[i])
-            if fixable == FIX_ONE:
-                found.append((i, 1, strict, delta))
-            elif fixable == FIX_ZERO:
-                found.append((i, 0, strict, delta))
-        if not found:
-            break
-        for i, b, strict, delta in found:
-            assignments.append((index_map[i], b))
-            strict_flags.append(strict)
-            fix_deltas.append(delta)
-        reduced, step_constant = reduce_instance(current, [(i, b) for i, b, _s, _d in found])
-        constant += step_constant
-        fixed_local = {i for i, _b, _s, _d in found}
-        index_map = [orig for local, orig in enumerate(index_map) if local not in fixed_local]
-        current = reduced
+    for positions, bits, strict, deltas in steps:
+        assignments += zip(positions.tolist(), bits.tolist())
+        strict_flags += strict.tolist()
+        fix_deltas += deltas.tolist()
     return FixReport(
         assignments=tuple(assignments),
         constant=constant,
-        reduced=current,
-        index_map=tuple(index_map),
-        rounds=rounds,
+        reduced=_instance(d, o, instance.name) if steps else instance,
+        index_map=tuple(survivors.tolist()),
+        rounds=len(steps) + 1,
         strict=tuple(strict_flags),
         deltas=tuple(fix_deltas),
     )
@@ -255,14 +254,15 @@ def sensitivity_report(instance: QuboInstance, near_tolerance: float = 0.0) -> S
     """
     if near_tolerance < 0.0:
         raise ValueError(f"near tolerance must be >= 0, got {near_tolerance}")
-    diag, neg, pos = _row_sums(instance)
+    d, o = _split(instance)
+    delta, bit, _strict = _classify(d, o)
     records = []
-    for i in range(instance.n):
-        delta, fixable, _strict = _classify(diag[i], neg[i], pos[i])
-        near = fixable == FIX_NONE and abs(delta) <= near_tolerance
+    for i, (diagonal, slack, b) in enumerate(zip(d.tolist(), delta.tolist(), bit.tolist())):
+        fixable = FIX_ONE if b == 1 else FIX_ZERO if b == 0 else FIX_NONE
+        near = fixable == FIX_NONE and abs(slack) <= near_tolerance
         records.append(
             SensitivityRecord(
-                index=i, diagonal=diag[i], delta=delta, fixable=fixable, near_threshold=near
+                index=i, diagonal=diagonal, delta=slack, fixable=fixable, near_threshold=near
             )
         )
     return SensitivityReport(records=tuple(records))

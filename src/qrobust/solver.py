@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .preprocess import fix_variables, merge_assignment
+from .preprocess import _classify, _fold, _split, fix_variables, merge_assignment
 from .qubo import BinarySolution, QuboInstance, evaluate
 
 PROVEN_OPTIMAL = "proven_optimal"
@@ -84,21 +84,8 @@ def one_flip_gain(instance: QuboInstance, bits, i: int) -> float:
     return (1.0 - 2.0 * bits[i]) * field
 
 
-def _dense_parts(instance: QuboInstance) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal vector and symmetric off-diagonal matrix (zero diagonal)."""
-    diag = np.zeros(instance.n)
-    off = np.zeros((instance.n, instance.n))
-    for (i, j), v in instance.coefficients.items():
-        if i == j:
-            diag[i] = v
-        else:
-            off[i, j] = v
-            off[j, i] = v
-    return diag, off
-
-
 def _gray_enumerate(
-    diag: np.ndarray, off: np.ndarray, deadline: float | None
+    m: np.ndarray, deadline: float | None
 ) -> tuple[float, np.ndarray, int, bool]:
     """Scan all 2^n assignments in Gray-code order, blockwise.
 
@@ -106,10 +93,7 @@ def _gray_enumerate(
     to the earliest assignment in Gray-code order, which makes repeated runs
     and downstream frequency counts reproducible.
     """
-    n = diag.size
-    m = off.copy()
-    if n:
-        m[np.diag_indices(n)] = diag
+    n = m.shape[0]
     total = 1 << n
     block = 1 << min(_BLOCK_BITS, n)
     shifts = np.arange(n, dtype=np.uint64)
@@ -149,7 +133,7 @@ def _objective(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> float:
 
 
 def _greedy_ascent(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray]:
-    """Deterministic 1-flip ascent from the rule-biased start; seeds the incumbent.
+    """Deterministic 1-flip ascent from the strict fixes of the rule; seeds the incumbent.
 
     The gain field is recomputed from scratch each step so rounding noise
     cannot masquerade as progress; the step cap guards against cycling over
@@ -159,8 +143,8 @@ def _greedy_ascent(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray
     x = np.zeros(n, dtype=np.int8)
     if n == 0:
         return 0.0, x
-    neg = 2.0 * np.minimum(off, 0.0).sum(axis=1)
-    x[(diag > 0) & (diag + neg > 0)] = 1
+    _delta, bit, strict = _classify(diag, off)
+    x[strict & (bit == 1)] = 1
     for _step in range(4 * n):
         s = diag + 2.0 * (off @ x.astype(float))
         gains = (1.0 - 2.0 * x) * s
@@ -180,11 +164,12 @@ def _bnb(
     """Depth-first branch and bound.  Returns (value, bits, nodes, closed).
 
     Each node folds the branching decisions into effective diagonals, fixes
-    whatever the dominance rules decide for the free submatrix, bounds the
-    remainder by its positive-element sum, and enumerates outright once few
-    enough variables are left.  Branching picks the free variable with the
-    largest rule slack magnitude, value-1 child first for nonnegative
-    effective diagonals.
+    whatever the fixing rule of ``qrobust.preprocess`` decides for the free
+    submatrix (to a fixpoint, via ``_fold``), bounds the remainder by its
+    positive-element sum, and enumerates outright once few enough variables
+    are left.  Branching picks the free variable with the largest rule
+    slack magnitude, value-1 child first for nonnegative effective
+    diagonals.
     """
     n = diag.size
     leaf_cap = min(enum_threshold, _LEAF_BITS)
@@ -197,24 +182,10 @@ def _bnb(
         if deadline is not None and time.perf_counter() > deadline:
             state["closed"] = False
             return
-        up = dn = None
-        while idx.size:
-            negs = 2.0 * np.minimum(o, 0.0).sum(axis=1)
-            poss = 2.0 * np.maximum(o, 0.0).sum(axis=1)
-            up = d + negs
-            dn = d + poss
-            one = ((d > 0.0) & (up > 0.0)) | ((d >= 0.0) & (negs == 0.0))
-            zero = (((d < 0.0) & (dn < 0.0)) | ((d <= 0.0) & (poss == 0.0))) & ~one
-            if not one.any() and not zero.any():
-                break
-            s1 = np.where(one)[0]
-            val += float(d[s1].sum() + o[np.ix_(s1, s1)].sum())
-            work[idx[one]] = 1
-            work[idx[zero]] = 0
-            keep = ~(one | zero)
-            idx = idx[keep]
-            d = d[keep] + (2.0 * o[np.ix_(keep, s1)].sum(axis=1) if s1.size else 0.0)
-            o = o[np.ix_(keep, keep)]
+        steps, val, survivors, d, o, slack = _fold(d, o, val)
+        for positions, bits, _strict, _deltas in steps:
+            work[idx[positions]] = bits
+        idx = idx[survivors]
         f = idx.size
         if f == 0:
             if val > state["val"]:
@@ -233,7 +204,6 @@ def _bnb(
         bound = val + float(np.maximum(d, 0.0).sum() + np.maximum(o, 0.0).sum())
         if bound <= state["val"]:
             return
-        slack = np.where(d >= 0.0, up, dn)
         b = int(np.argmax(np.abs(slack)))
         keep = np.ones(f, dtype=bool)
         keep[b] = False
@@ -276,8 +246,7 @@ def solve_exact(instance: QuboInstance, config: SolverConfig | None = None) -> S
     t0 = time.perf_counter()
     deadline = t0 + config.time_budget if config.time_budget is not None else None
     if instance.n <= config.enum_threshold:
-        diag, off = _dense_parts(instance)
-        _val, bits, scanned, closed = _gray_enumerate(diag, off, deadline)
+        _val, bits, scanned, closed = _gray_enumerate(instance.to_dense(), deadline)
         return _finish(
             instance, bits, PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED, scanned, t0
         )
@@ -285,7 +254,7 @@ def solve_exact(instance: QuboInstance, config: SolverConfig | None = None) -> S
     if rep.reduced.n == 0:
         bits = merge_assignment(instance.n, rep.assignments, rep.index_map, ())
         return _finish(instance, bits, PROVEN_OPTIMAL, 1, t0)
-    diag, off = _dense_parts(rep.reduced)
+    diag, off = _split(rep.reduced)
     _val, sub_bits, nodes, closed = _bnb(diag, off, config.enum_threshold, deadline)
     bits = merge_assignment(instance.n, rep.assignments, rep.index_map, sub_bits)
     return _finish(instance, bits, PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED, nodes, t0)
@@ -294,8 +263,9 @@ def solve_exact(instance: QuboInstance, config: SolverConfig | None = None) -> S
 def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:
     """Multi-start tabu search with best-improving 1-flip moves.
 
-    Restarts begin from a seeded random assignment biased by the fixing
-    slacks (dominant variables at 1, recessive at 0).  A move is tabu for
+    Restarts begin from a seeded random assignment in which the variables
+    the fixing rule of ``qrobust.preprocess`` fixes strictly take their
+    forced values (dominant at 1, recessive at 0).  A move is tabu for
     ``tabu_tenure`` iterations after it is made unless it would beat the
     incumbent; a restart ends after 10*n moves without improving the
     incumbent.  Deterministic given the seed.
@@ -311,12 +281,10 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
     n = instance.n
     if n == 0:
         return _finish(instance, (), HEURISTIC, 0, t0)
-    diag, off = _dense_parts(instance)
-    negs = 2.0 * np.minimum(off, 0.0).sum(axis=1)
-    poss = 2.0 * np.maximum(off, 0.0).sum(axis=1)
-    start_one = (diag >= 0.0) & (diag + negs > 0.0)
-    start_zero = (diag < 0.0) & (diag + poss < 0.0)
-    free = ~(start_one | start_zero)
+    diag, off = _split(instance)
+    _delta, bit, strict = _classify(diag, off)
+    start_one = strict & (bit == 1)
+    free = ~strict
     rng = np.random.default_rng(config.seed)
     cap = 10 * n
     best_val = -np.inf

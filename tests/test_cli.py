@@ -170,6 +170,40 @@ class TestFitAndBoundCommands:
         capsys.readouterr()
         assert json.loads(inline_model.read_text()) == json.loads(artifact_model.read_text())
 
+    @pytest.mark.parametrize(
+        "edit, line",
+        [
+            # rows of scenarios 0 and 1 swapped: indices out of order
+            (lambda rows: [rows[0], rows[2], rows[1], *rows[3:]], 2),
+            # an unproven row in the middle of the file
+            (lambda rows: [*rows[:5], rows[5].rsplit(",", 1)[0] + ",budget_exhausted", *rows[6:]], 6),
+        ],
+        ids=["index_order", "budget_exhausted"],
+    )
+    def test_fit_refuses_bad_scenario_rows(self, business_file, tmp_path, capsys, edit, line):
+        design = tmp_path / "design.csv"
+        scen = tmp_path / "scen.csv"
+        assert main(["design", "--gen", business_file, "--out", str(design)]) == 0
+        assert main(
+            ["analyze", "--gen", business_file, "--mode", "exact", "--scenarios", str(scen)]
+        ) == 0
+        rows = scen.read_text().splitlines()
+        scen.write_text("\n".join(edit(rows)) + "\n")
+        capsys.readouterr()
+        assert main(
+            ["fit", "--gen", business_file, "--design", str(design), "--scenarios", str(scen)]
+        ) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
+    def test_inline_fit_refuses_budget_exhausted(self, business_file, capsys):
+        # enumeration is off and the budget ends before branch and bound starts
+        code = main(
+            ["fit", "--gen", business_file, "--mode", "exact", "--enum-threshold", "2",
+             "--budget", "1e-9"]
+        )
+        assert code == 2
+        assert "budget_exhausted" in capsys.readouterr().err
+
     def test_bound_csv_and_summary(self, business_file, tmp_path, capsys):
         comp = tmp_path / "comp.csv"
         code = main(

@@ -157,6 +157,20 @@ class TestFixVariables:
         assert (3, 1) not in report.assignments
 
 
+def test_results_do_not_depend_on_coefficient_order():
+    # the doubled negative row sum of variable 0 is -1.2000000000000002 when
+    # summed as -0.1, -0.2, -0.3 and -1.2 in the reverse order
+    coeffs = {(0, 0): 1.2000000000000002, (0, 1): -0.1, (0, 2): -0.2, (0, 3): -0.3}
+    forward = QuboInstance(4, coeffs)
+    backward = QuboInstance(4, dict(reversed(list(coeffs.items()))))
+    assert [fix_slack(forward, i) for i in range(4)] == [fix_slack(backward, i) for i in range(4)]
+    assert sensitivity_report(forward, 0.5) == sensitivity_report(backward, 0.5)
+    a, b = fix_variables(forward), fix_variables(backward)
+    assert (a.assignments, a.strict, a.deltas, a.constant, a.rounds, a.index_map) == (
+        b.assignments, b.strict, b.deltas, b.constant, b.rounds, b.index_map
+    )
+
+
 class TestSensitivityReport:
     def test_demo5_strict(self, demo5):
         report = sensitivity_report(demo5, 0.0)

@@ -70,9 +70,26 @@ class TestSolveExact:
 
     def test_branch_and_bound_matches_enumeration(self):
         rng = np.random.default_rng(42)
+        cases = []
         for t in range(40):
             n = int(rng.integers(6, 17))
-            inst = random_instance(rng, n, [0.1, 0.5, 1.0][t % 3])
+            cases.append(random_instance(rng, n, [0.1, 0.5, 1.0][t % 3]))
+        # zero diagonals (the weak fixing rules) and isolated all-zero
+        # variables (free under the rule), under one-signed and mixed pairs
+        rng = np.random.default_rng(43)
+        for t in range(12):
+            n = int(rng.integers(13, 17))
+            base = random_instance(rng, n, [0.3, 0.6, 1.0][t % 3])
+            zero_diag = rng.random(n) < 0.5
+            isolated = set(rng.choice(n, size=1 + t % 3, replace=False).tolist())
+            sign = (1.0, -1.0, 0.0)[t // 4]  # 0.0 keeps the mixed signs
+            coeffs = {}
+            for (i, j), v in base.coefficients.items():
+                if i in isolated or j in isolated or (i == j and zero_diag[i]):
+                    continue
+                coeffs[(i, j)] = sign * abs(v) if sign and i != j else v
+            cases.append(QuboInstance(n, coeffs))
+        for inst in cases:
             oracle = brute_force_max(inst)
             enum = solve_exact(inst, SolverConfig(time_budget=None))
             bnb = solve_exact(inst, SolverConfig(time_budget=None, enum_threshold=5))
