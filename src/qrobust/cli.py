@@ -79,7 +79,11 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=["auto", "exact", "heuristic"], default="auto")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     parser.add_argument(
-        "--budget", type=float, default=10.0, help="seconds per solve; <= 0 lifts the limit"
+        "--budget",
+        type=float,
+        default=10.0,
+        help="seconds per solve (an enumerated batch of k scenarios gets k times "
+        "this for its one sweep); <= 0 lifts the limit",
     )
     parser.add_argument("--restarts", type=int, default=10)
     parser.add_argument("--enum-threshold", type=int, default=22, dest="enum_threshold")
@@ -154,6 +158,16 @@ def cmd_design(args) -> int:
     return 0
 
 
+def _require_optima(results) -> None:
+    """Refuse scenario results whose solve ran out of budget before proving an optimum."""
+    for r in results:
+        if r.status == BUDGET_EXHAUSTED:
+            raise ValueError(
+                f"scenario {r.scenario_index} is {r.status}, not an optimum; "
+                "raise --budget or pass --budget 0"
+            )
+
+
 def cmd_analyze(args) -> int:
     gen = _generators_from_args(args)
     config = _solver_config(args)
@@ -164,6 +178,7 @@ def cmd_analyze(args) -> int:
     if args.reference == "average":
         reference = solve(average_instance(gen), config).solution.bits
     report, results = run_robust_analysis(gen, config, jobs=args.jobs, reference=reference)
+    _require_optima(results)
     for entry in report.pool:
         print(f"{entry.bits} freq={entry.frequency} mean={format_number(entry.mean_value)}")
     print(f"most_robust={report.most_robust}")
@@ -217,12 +232,7 @@ def _fit_from_args(args, gen, config):
             "regression needs k - d - 1 >= 1 residual degrees of freedom, got k=1, d=0"
         )
     _report, results = run_robust_analysis(gen, config)
-    for r in results:
-        if r.status == BUDGET_EXHAUSTED:
-            raise ValueError(
-                f"scenario {r.scenario_index} is {r.status}, not an optimum; "
-                "raise --budget or pass --budget 0"
-            )
+    _require_optima(results)
     return fit_model(design, [r.value for r in results], diff)
 
 

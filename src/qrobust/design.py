@@ -22,9 +22,9 @@ class ScenarioGenerators:
     """Two extreme coefficient settings per position.
 
     ``entries`` maps an upper-triangular (i, j) position to the pair
-    (level_a, level_b).  The labels carry no numeric ordering; level_a is
-    simply the value a +1 design setting selects.  Positions absent from
-    the mapping are zero in both matrices.
+    (level_a, level_b), stored in (i, j) order.  The labels carry no
+    numeric ordering; level_a is simply the value a +1 design setting
+    selects.  Positions absent from the mapping are zero in both matrices.
     """
 
     n: int
@@ -33,15 +33,16 @@ class ScenarioGenerators:
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 1:
             raise ValueError(f"variable count must be >= 1, got {self.n!r}")
-        clean: dict[Key, tuple[float, float]] = {}
-        for key, (a, b) in self.entries.items():
-            i, j = key
-            if not (0 <= i <= j < self.n):
-                raise ValueError(f"position ({i}, {j}) out of range for n={self.n}")
+        n = self.n
+        clean: list[tuple[Key, tuple[float, float]]] = []
+        for (i, j), (a, b) in self.entries.items():
+            if not (0 <= i <= j < n):
+                raise ValueError(f"position ({i}, {j}) out of range for n={n}")
             a, b = float(a), float(b)
             if a != 0.0 or b != 0.0:
-                clean[(int(i), int(j))] = (a, b)
-        object.__setattr__(self, "entries", clean)
+                clean.append(((int(i), int(j)), (a, b)))
+        clean.sort()
+        object.__setattr__(self, "entries", dict(clean))
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """The scenario loop: instantiate every design run, solve it, pool the optima.
 
-Scenarios are independent, so the loop parallelizes over processes; results
-are re-sorted by scenario index before pooling, which makes reports
-identical regardless of worker count or completion order.
+Enumerable scenarios share one support, so they are solved together by one
+batched enumeration sweep.  Larger scenarios are independent solves that
+parallelize over processes; results are re-sorted by scenario index before
+pooling, which makes reports identical regardless of worker count or
+completion order.
 """
 
 from __future__ import annotations
@@ -21,7 +23,14 @@ from .design import (
     run_count,
 )
 from .qubo import QuboInstance, evaluate, format_number
-from .solver import PROVEN_OPTIMAL, BinarySolution, SolverConfig, solve
+from .solver import (
+    MODE_HEURISTIC,
+    PROVEN_OPTIMAL,
+    BinarySolution,
+    SolverConfig,
+    solve,
+    solve_batch,
+)
 
 
 @dataclass(frozen=True)
@@ -85,26 +94,33 @@ def run_robust_analysis(
 ) -> tuple[RobustnessReport, list[ScenarioResult]]:
     """Solve every scenario and pool the returned solutions by bitstring.
 
-    Scenario i derives its solver seed as ``seed + i`` so runs are
-    reproducible for any worker count.  When ``reference`` bits are given,
-    the report also carries their value-match coverage over the scenarios.
+    When every scenario is enumerated (mode exact or auto, n at most
+    ``enum_threshold``), one ``solve_batch`` call solves them all in this
+    process and ``jobs`` is not used.  Otherwise scenario i is solved on
+    its own with solver seed ``seed + i``, so runs are reproducible for any
+    worker count.  When ``reference`` bits are given, the report also
+    carries their value-match coverage over the scenarios.
     """
     config = solver_config or SolverConfig()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _diff, k, _design, instances = scenario_instances(gen)
-    tasks = [
-        (i, instances[i], replace(config, seed=(config.seed + i) % 2**64))
-        for i in range(k)
-    ]
-    if jobs > 1 and k > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(_scenario_task, tasks, chunksize=max(1, k // (4 * jobs)))
-            )
+    if config.mode != MODE_HEURISTIC and gen.n <= config.enum_threshold:
+        # every scenario is enumerated: one shared sweep, in process
+        outcomes = list(enumerate(solve_batch(instances, config)))
     else:
-        outcomes = [_scenario_task(t) for t in tasks]
-    outcomes.sort(key=lambda pair: pair[0])
+        tasks = [
+            (i, instances[i], replace(config, seed=(config.seed + i) % 2**64))
+            for i in range(k)
+        ]
+        if jobs > 1 and k > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(
+                    pool.map(_scenario_task, tasks, chunksize=max(1, k // (4 * jobs)))
+                )
+        else:
+            outcomes = [_scenario_task(t) for t in tasks]
+        outcomes.sort(key=lambda pair: pair[0])
     results = [
         ScenarioResult(
             scenario_index=i,

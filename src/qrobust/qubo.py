@@ -38,7 +38,9 @@ class QuboInstance:
         an instance to nothing; the text parser rejects it.
     coefficients : mapping of (i, j) -> float
         Keys must satisfy 0 <= i <= j < n.  Zero values are dropped on
-        construction so that "absent" and "zero" coincide.
+        construction so that "absent" and "zero" coincide, and the entries
+        are stored in (i, j) order, so sums over them do not depend on the
+        order they were given in.
     name : str, optional
         Free-form label carried through reports.
     """
@@ -51,13 +53,20 @@ class QuboInstance:
         if not isinstance(self.n, int) or self.n < 0:
             raise ValueError(f"variable count must be a nonnegative integer, got {self.n!r}")
         clean: dict[Key, float] = {}
+        last = (-1, -1)
+        in_order = True
         for key, value in self.coefficients.items():
             i, j = key
             if not (0 <= i <= j < self.n):
                 raise ValueError(f"coefficient key ({i}, {j}) out of range for n={self.n}")
             value = float(value)
             if value != 0.0:
-                clean[(int(i), int(j))] = value
+                key = (int(i), int(j))
+                in_order = in_order and key > last
+                last = key
+                clean[key] = value
+        if not in_order:
+            clean = dict(sorted(clean.items()))
         object.__setattr__(self, "coefficients", clean)
 
     @property
@@ -66,7 +75,7 @@ class QuboInstance:
 
     def entries(self) -> list[tuple[Key, float]]:
         """Nonzero entries sorted by (i, j)."""
-        return sorted(self.coefficients.items())
+        return list(self.coefficients.items())
 
     def diagonal(self, i: int) -> float:
         return self.coefficients.get((i, i), 0.0)

@@ -22,7 +22,7 @@ from .design import (
     random_scenario,
 )
 from .qubo import QuboInstance, format_number, positive_sum_bound
-from .solver import PROVEN_OPTIMAL, SolverConfig, solve_exact
+from .solver import PROVEN_OPTIMAL, SolverConfig, solve_batch, solve_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,10 +181,12 @@ def compare_bounds(
 ) -> BoundComparison:
     """Solve random interior scenarios exactly and tabulate both bounds.
 
-    Scenario t draws with seed ``seed + t``.  Rows are sorted by descending
-    surface-bound gap; rows without a proven optimum keep their bounds but
-    are flagged and excluded from gap statistics (as are zero optima, whose
-    percentage gap is undefined).
+    Scenario t draws with seed ``seed + t``.  All scenarios are drawn
+    first; when they are enumerable they are solved by one ``solve_batch``
+    sweep.  Rows are sorted by descending surface-bound gap; rows without
+    a proven optimum keep their bounds but are flagged and excluded from
+    gap statistics (as are zero optima, whose percentage gap is
+    undefined).
     """
     if count < 1:
         raise ValueError(f"scenario count must be >= 1, got {count}")
@@ -192,10 +194,13 @@ def compare_bounds(
     if diff.positions != model.diff.positions:
         raise ValueError("model was fit against a different difference set")
     config = solver_config or SolverConfig()
+    scenarios = [random_scenario(gen, (seed + t) % 2**64) for t in range(count)]
+    if gen.n <= config.enum_threshold:
+        outcomes = solve_batch(scenarios, config)
+    else:
+        outcomes = [solve_exact(inst, config) for inst in scenarios]
     rows = []
-    for t in range(count):
-        inst = random_scenario(gen, (seed + t) % 2**64)
-        out = solve_exact(inst, config)
+    for t, (inst, out) in enumerate(zip(scenarios, outcomes)):
         proven = out.status == PROVEN_OPTIMAL
         opt = out.solution.value
         z = code_scenario(gen, diff, inst)

@@ -6,12 +6,30 @@ Three engines share one entry point:
 * depth-first branch and bound over the preprocessed matrix, bounded by
   the positive-element sum of the free submatrix, for medium instances,
 * multi-start tabu search with 1-flip moves for everything larger.
+
+Enumeration has one kernel, ``solve_batch``.  It scores a batch of
+instances of equal size in one sweep: the objective is linear in the
+coefficient values, so one table of pair products ``x_i x_j`` over the
+batch's union support times a value matrix (one column per instance)
+gives every instance's objective for a block of assignments at once.  A
+single ``solve_exact`` enumeration is a batch of one.
+
+Ties are settled by a rule that survives a reordered sum.  Let
+``tol = nnz * eps * sum|V|``, where ``V`` holds the instance's support
+values with off-diagonals doubled.  For any summation order a computed
+objective is within tol / 2 of its exact value, so assignments of equal
+exact value compute within tol of each other.  The kernel picks the
+earliest assignment in Gray-code order whose computed value is at least
+the computed maximum minus tol, and reports the value ``evaluate`` gives
+for it.  Exact ties therefore go to the earliest of them in Gray-code
+order however the sum was grouped.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -26,10 +44,21 @@ MODE_AUTO = "auto"
 MODE_EXACT = "exact"
 MODE_HEURISTIC = "heuristic"
 
-# block size (in assignments) for vectorized enumeration sweeps
-_BLOCK_BITS = 16
+# element cap on one enumeration block's pair-product table plus its values
+_BLOCK_ELEMENTS = 1 << 20
 # below this many free variables a branch-and-bound node is enumerated outright
 _LEAF_BITS = 12
+
+
+def _bits(codes: np.ndarray, width: int) -> np.ndarray:
+    """0/1 rows as floats: column c holds bit c of each code."""
+    return ((codes[:, None] >> np.arange(width)) & 1).astype(np.float64)
+
+
+# every assignment of _LEAF_BITS variables in binary order, row t holding the
+# bits of t; a leaf with f free variables reads the top-left 2^f x f corner
+_LEAF_TABLE = _bits(np.arange(1 << _LEAF_BITS), _LEAF_BITS)
+_LEAF_TABLE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -84,44 +113,149 @@ def one_flip_gain(instance: QuboInstance, bits, i: int) -> float:
     return (1.0 - 2.0 * bits[i]) * field
 
 
-def _gray_enumerate(
-    m: np.ndarray, deadline: float | None
-) -> tuple[float, np.ndarray, int, bool]:
-    """Scan all 2^n assignments in Gray-code order, blockwise.
+class _Sweep:
+    """A batch's union support, laid out for blockwise Gray-code scoring.
 
-    Returns (best value, its bits, assignments scanned, completed).  Ties go
-    to the earliest assignment in Gray-code order, which makes repeated runs
-    and downstream frequency counts reproducible.
+    Gray index g stands for the assignment whose bit i is bit i of
+    ``g ^ (g >> 1)``.  Block h holds g in [h * rows, (h + 1) * rows) with
+    rows = 2^low.  Its high bits (i >= low) are gray(h) shifted up by low,
+    fixed for the block, and its low bits run through the Gray table of
+    ``low`` bits, in reverse when h is odd (reflecting a Gray code flips
+    its top bit).  So each support entry is one column of a shared table
+    (``x_i`` for a diagonal or a low-high pair, ``x_i x_j`` for a low
+    pair, ones for a high pair) scaled by whether its high bits are set in
+    the block, and a block's objectives are one product of the table with
+    the folded value matrix.
     """
-    n = m.shape[0]
-    total = 1 << n
-    block = 1 << min(_BLOCK_BITS, n)
-    shifts = np.arange(n, dtype=np.uint64)
-    best_val = -np.inf
-    best_bits = np.zeros(n, dtype=np.int8)
-    scanned = 0
-    for t0 in range(0, total, block):
-        ts = np.arange(t0, min(t0 + block, total), dtype=np.uint64)
-        codes = ts ^ (ts >> np.uint64(1))
-        x = ((codes[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
-        vals = np.einsum("ij,ij->i", x @ m, x)
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_bits = x[j].astype(np.int8)
-        scanned = int(ts[-1]) + 1
-        if deadline is not None and scanned < total and time.perf_counter() > deadline:
-            return best_val, best_bits, scanned, False
-    return best_val, best_bits, scanned, True
+
+    def __init__(self, instances: Sequence[QuboInstance]):
+        n = instances[0].n
+        k = len(instances)
+        keys = sorted(set().union(*(inst.coefficients for inst in instances)))
+        where = {key: p for p, key in enumerate(keys)}
+        values = np.zeros((len(keys), k))
+        for s, inst in enumerate(instances):
+            for key, v in inst.coefficients.items():
+                values[where[key], s] = v
+        i, j = np.array(keys, dtype=np.int64).reshape(-1, 2).T
+        values[i != j] *= 2.0
+        self.values = values
+        # the tie tolerance of the module docstring, one per instance
+        self.tol = len(keys) * np.finfo(float).eps * np.abs(values).sum(axis=0)
+
+        def pairs(low: int) -> np.ndarray:
+            return (i != j) & (j < low)
+
+        low = n
+        while low > 0 and (1 << low) * (low + int(pairs(low).sum()) + 1 + k) > _BLOCK_ELEMENTS:
+            low -= 1
+        self.n, self.low, self.rows = n, low, 1 << low
+        pair = pairs(low)
+        column = np.where(i < low, i, low + int(pair.sum()))
+        column[pair] = low + np.arange(int(pair.sum()))
+        self.fold = np.zeros((low + int(pair.sum()) + 1, len(keys)))
+        self.fold[column, np.arange(len(keys))] = 1.0
+        self.high_i, self.high_j = i >= low, j >= low
+        self.i, self.j = i, j
+        r = np.arange(self.rows)
+        x = _bits(r ^ (r >> 1), low)
+        self.table = np.hstack([x, x[:, i[pair]] * x[:, j[pair]], np.ones((self.rows, 1))])
+
+    def block(self, h: int, which=slice(None)) -> np.ndarray:
+        """Objectives of block h (rows in Gray order) for the chosen instances."""
+        code = (h ^ (h >> 1)) << self.low
+        x = np.array([(code >> v) & 1 for v in range(self.n)], dtype=np.float64)
+        active = np.where(self.high_i, x[self.i], 1.0) * np.where(self.high_j, x[self.j], 1.0)
+        vals = self.table @ (self.fold @ (self.values[:, which] * active[:, None]))
+        return vals[::-1] if h & 1 else vals
+
+
+def solve_batch(
+    instances: Sequence[QuboInstance], config: SolverConfig | None = None
+) -> list[SolveOutcome]:
+    """Provably optimal solves of equal-size instances by one shared enumeration.
+
+    Every instance must have the same n, at most ``config.enum_threshold``.
+    One Gray-code sweep scores all instances on each block of assignments;
+    the tie rule of the module docstring picks each instance's solution.
+    The sweep gets ``len(instances) * time_budget`` seconds.  When that
+    runs out, every instance returns ``budget_exhausted`` with its best
+    assignment so far.  Block rows come from a fixed cap on the elements of
+    a block's product table and values, so memory does not grow with 2^n.
+    """
+    config = config or SolverConfig()
+    t0 = time.perf_counter()
+    if not instances:
+        return []
+    n = instances[0].n
+    if any(inst.n != n for inst in instances):
+        raise ValueError("batched instances must share one variable count")
+    if n > config.enum_threshold:
+        raise ValueError(f"n={n} is above enum_threshold={config.enum_threshold}")
+    k = len(instances)
+    deadline = t0 + k * config.time_budget if config.time_budget is not None else None
+    sweep = _Sweep(instances)
+    rows, tol = sweep.rows, sweep.tol
+    blocks = 1 << (n - sweep.low)
+    best = np.full(k, -np.inf)  # largest computed objective so far
+    first = np.zeros(k, dtype=np.int64)  # earliest Gray index within tol of it
+    first_val = np.full(k, -np.inf)
+    block_max = np.empty((blocks, k))
+    closed = True
+    for h in range(blocks):
+        vals = sweep.block(h)
+        block_max[h] = vals.max(axis=0)
+        up = np.flatnonzero(block_max[h] > best)
+        if up.size:
+            thr = block_max[h, up] - tol[up]
+            hit = (vals[:, up] >= thr).argmax(axis=0)
+            kept, kept_val = first[up], first_val[up]
+            first[up] = h * rows + hit
+            first_val[up] = vals[hit, up]
+            # an earlier assignment within tol of the new maximum still wins
+            for m in np.flatnonzero(best[up] >= thr):
+                s = up[m]
+                if kept_val[m] >= thr[m]:
+                    first[s], first_val[s] = kept[m], kept_val[m]
+                    continue
+                found = _earliest_within(sweep, block_max, s, thr[m], kept[m] // rows, h)
+                if found is not None:
+                    first[s], first_val[s] = found
+            best[up] = block_max[h, up]
+        if h + 1 < blocks and deadline is not None and time.perf_counter() > deadline:
+            closed = False
+            blocks = h + 1
+            break
+    scanned = blocks * rows
+    status = PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED
+    outcomes = []
+    for inst, g in zip(instances, first.tolist()):
+        code = g ^ (g >> 1)
+        outcomes.append(_finish(inst, [(code >> v) & 1 for v in range(n)], status, scanned, t0))
+    return outcomes
+
+
+def _earliest_within(sweep: _Sweep, block_max, s: int, thr: float, start: int, stop: int):
+    """Earliest (Gray index, objective) of instance s at or above thr in blocks [start, stop).
+
+    The sweep keeps only each block's maximum, so a block that reaches thr
+    is recomputed for instance s alone.  None when no block does, which
+    can happen only through the rounding of the recomputation.
+    """
+    for b in range(start, stop):
+        if block_max[b, s] < thr:
+            continue
+        vals = sweep.block(b, [s])[:, 0]
+        r = int(np.argmax(vals >= thr))
+        if vals[r] >= thr:
+            return b * sweep.rows + r, vals[r]
+    return None
 
 
 def _submatrix_max(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Exact maximum of x^t m x over all assignments of a small dense matrix."""
     f = m.shape[0]
-    total = 1 << f
-    shifts = np.arange(f, dtype=np.uint64)
-    ts = np.arange(total, dtype=np.uint64)
-    x = ((ts[:, None] >> shifts) & np.uint64(1)).astype(np.float64)
+    x = _LEAF_TABLE[: 1 << f, :f]
     vals = np.einsum("ij,ij->i", x @ m, x)
     j = int(np.argmax(vals))
     return float(vals[j]), x[j].astype(np.int8)
@@ -243,13 +377,10 @@ def solve_exact(instance: QuboInstance, config: SolverConfig | None = None) -> S
     incumbent found so far is returned.
     """
     config = config or SolverConfig()
+    if instance.n <= config.enum_threshold:
+        return solve_batch([instance], config)[0]
     t0 = time.perf_counter()
     deadline = t0 + config.time_budget if config.time_budget is not None else None
-    if instance.n <= config.enum_threshold:
-        _val, bits, scanned, closed = _gray_enumerate(instance.to_dense(), deadline)
-        return _finish(
-            instance, bits, PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED, scanned, t0
-        )
     rep = fix_variables(instance)
     if rep.reduced.n == 0:
         bits = merge_assignment(instance.n, rep.assignments, rep.index_map, ())

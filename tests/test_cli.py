@@ -150,6 +150,30 @@ class TestAnalyzeCommand:
         assert json.loads(report.read_text())["k"] == 1
 
 
+    def test_analyze_refuses_budget_exhausted(self, business_file, tmp_path, capsys):
+        # enumeration is off and the budget ends before branch and bound starts
+        report = tmp_path / "report.json"
+        code = main(
+            ["analyze", "--gen", business_file, "--mode", "exact", "--enum-threshold", "2",
+             "--budget", "1e-9", "--out", str(report)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "budget_exhausted" in captured.err
+        assert "most_robust=" not in captured.out
+        assert not report.exists()
+
+    def test_analyze_refuses_an_exhausted_enumeration(self, business_file, capsys, monkeypatch):
+        # a batched sweep runs out for every scenario at once; small blocks
+        # make the deadline checked before the sweep ends
+        from qrobust import solver
+
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
+        code = main(["analyze", "--gen", business_file, "--mode", "exact", "--budget", "1e-9"])
+        assert code == 2
+        assert "scenario 0 is budget_exhausted" in capsys.readouterr().err
+
+
 class TestFitAndBoundCommands:
     def test_fit_inline_and_from_artifacts_agree(self, business_file, tmp_path, capsys):
         design = tmp_path / "design.csv"

@@ -41,6 +41,9 @@ class TestDifferingElements:
         gen = ScenarioGenerators(2, {(1, 1): (4, 2)})
         assert differing_elements(gen).positions == ((1, 1),)
 
+    def test_entries_kept_in_index_order(self, business_gen):
+        assert list(business_gen.entries) == sorted(business_gen.entries)
+
 
 class TestRunCount:
     def test_values(self):

@@ -16,7 +16,8 @@ from qrobust.pipeline import (
     results_to_csv,
     scenario_instances,
 )
-from qrobust.solver import SolverConfig
+from qrobust import solver
+from qrobust.solver import BUDGET_EXHAUSTED, PROVEN_OPTIMAL, SolverConfig
 
 EXACT = SolverConfig(mode="exact")
 
@@ -54,6 +55,25 @@ def test_worker_count_does_not_change_the_report(business_gen):
     serial, _ = run_robust_analysis(business_gen, EXACT, jobs=1)
     parallel, _ = run_robust_analysis(business_gen, EXACT, jobs=4)
     assert report_to_json(serial) == report_to_json(parallel)
+
+
+def test_worker_count_does_not_change_a_pooled_report(business_gen):
+    # above the enumeration threshold each scenario is its own pool task
+    config = SolverConfig(mode="exact", enum_threshold=5)
+    serial, _ = run_robust_analysis(business_gen, config, jobs=1)
+    parallel, _ = run_robust_analysis(business_gen, config, jobs=4)
+    assert report_to_json(serial) == report_to_json(parallel)
+
+
+def test_enumerated_analysis_shares_one_budget(business_gen, monkeypatch):
+    _diff, _k, _design, instances = scenario_instances(business_gen)
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)  # several blocks per sweep
+    _report, results = run_robust_analysis(business_gen, SolverConfig(time_budget=1e-9))
+    assert {r.status for r in results} == {BUDGET_EXHAUSTED}
+    for res, inst in zip(results, instances):
+        assert evaluate(inst, res.solution.bits) == res.value
+    _report, results = run_robust_analysis(business_gen, SolverConfig(time_budget=None))
+    assert {r.status for r in results} == {PROVEN_OPTIMAL}
 
 
 def test_reference_coverage_field(business_gen):

@@ -34,6 +34,17 @@ class TestQuboInstance:
         again = QuboInstance.from_dense(inst.to_dense())
         assert again.coefficients == inst.coefficients
 
+    def test_coefficients_kept_in_index_order(self):
+        inst = QuboInstance(3, {(2, 2): 3.0, (0, 1): 1.0, (0, 0): 2.0})
+        assert list(inst.coefficients) == [(0, 0), (0, 1), (2, 2)]
+
+    def test_insertion_order_does_not_change_the_value(self):
+        # 0.1 + 0.2 + 0.3 rounds differently from 0.3 + 0.2 + 0.1
+        diag = [((0, 0), 0.1), ((1, 1), 0.2), ((2, 2), 0.3)]
+        forward = QuboInstance(3, dict(diag))
+        reverse = QuboInstance(3, dict(reversed(diag)))
+        assert evaluate(forward, (1, 1, 1)) == evaluate(reverse, (1, 1, 1))
+
     def test_from_dense_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             QuboInstance.from_dense(np.array([[1.0, 2.0], [0.0, 1.0]]))

@@ -6,17 +6,21 @@ import pytest
 from conftest import brute_force_max, random_instance
 from qrobust import (
     QuboInstance,
+    ScenarioGenerators,
     evaluate,
     one_flip_gain,
     solve,
     solve_exact,
     solve_heuristic,
 )
+from qrobust import solver
+from qrobust.pipeline import scenario_instances
 from qrobust.solver import (
     BUDGET_EXHAUSTED,
     HEURISTIC,
     PROVEN_OPTIMAL,
     SolverConfig,
+    solve_batch,
 )
 
 
@@ -61,8 +65,10 @@ class TestSolveExact:
         assert out.solution.bits == (0, 1)
 
     def test_tie_goes_to_first_in_gray_order(self):
-        # both single-variable assignments score 5; Gray order visits
-        # (0,0), (1,0), (1,1), (0,1), so (1,0) wins
+        # the rule: the earliest assignment in Gray-code order whose computed
+        # value is within the rounding bound of the computed maximum.  Both
+        # single-variable assignments score 5; Gray order visits (0,0),
+        # (1,0), (1,1), (0,1), so (1,0) wins
         inst = QuboInstance(2, {(0, 0): 5, (1, 1): 5, (0, 1): -5})
         out = solve_exact(inst)
         assert out.solution.value == 5.0
@@ -104,6 +110,127 @@ class TestSolveExact:
         out = solve_exact(inst, SolverConfig(enum_threshold=5, time_budget=1e-4))
         assert out.status in (PROVEN_OPTIMAL, BUDGET_EXHAUSTED)
         assert evaluate(inst, out.solution.bits) == out.solution.value
+
+
+def gray_walk(instance: QuboInstance) -> tuple[tuple[int, ...], float]:
+    """First strict maximum of evaluate over all assignments in Gray-code order."""
+    best_bits, best_val = None, -np.inf
+    for g in range(1 << instance.n):
+        code = g ^ (g >> 1)
+        bits = tuple((code >> v) & 1 for v in range(instance.n))
+        value = evaluate(instance, bits)
+        if value > best_val:
+            best_bits, best_val = bits, value
+    return best_bits, best_val
+
+
+def random_generators(rng, n: int, d: int, scale: float = 1.0) -> ScenarioGenerators:
+    """About half of the positions nonzero; d of them get a second level."""
+    iu, ju = np.triu_indices(n)
+    keep = [(int(i), int(j)) for i, j in zip(iu, ju) if rng.random() < 0.5] or [(0, 0)]
+    vary = set(rng.choice(len(keep), size=min(d, len(keep)), replace=False).tolist())
+    entries = {}
+    for t, key in enumerate(keep):
+        a = float(rng.integers(-9, 10)) * scale
+        b = float(rng.integers(-9, 10)) * scale if t in vary else a
+        entries[key] = (a, b)
+    return ScenarioGenerators(n, entries)
+
+
+def bits_of(outcomes):
+    return [out.solution.bits for out in outcomes]
+
+
+def reversed_instance(instance: QuboInstance) -> QuboInstance:
+    return QuboInstance(instance.n, dict(reversed(list(instance.coefficients.items()))))
+
+
+class TestSolveBatch:
+    def test_matches_a_gray_walk(self):
+        rng = np.random.default_rng(21)
+        for n in range(1, 13):
+            for d in (0, 1 + n % 3):
+                _diff, k, _design, scenarios = scenario_instances(random_generators(rng, n, d))
+                assert len(scenarios) == k and (d > 0 or k == 1)
+                outcomes = solve_batch(scenarios, SolverConfig(time_budget=None))
+                for inst, out in zip(scenarios, outcomes):
+                    assert out.status == PROVEN_OPTIMAL
+                    assert out.nodes_or_iterations == 1 << n
+                    assert (out.solution.bits, out.solution.value) == gray_walk(inst)
+
+    def test_summation_order_does_not_change_the_bits(self):
+        # tenths round, so the objective's sum depends on its grouping
+        rng = np.random.default_rng(22)
+        config = SolverConfig(time_budget=None)
+        for n in (5, 9, 12):
+            _diff, _k, _design, scenarios = scenario_instances(random_generators(rng, n, 3, 0.1))
+            # a wider union support, reversed scenarios and reversed insertion
+            _d, _k, _ds, extra = scenario_instances(random_generators(rng, n, 2, 0.1))
+            other = [reversed_instance(inst) for inst in reversed(scenarios)] + extra
+            want = bits_of(solve_batch(scenarios, config))
+            got = bits_of(solve_batch(other, config))[: len(scenarios)][::-1]
+            assert got == want
+            assert want == [solve_exact(inst, config).solution.bits for inst in scenarios]
+
+    def test_float_near_tie_takes_the_earlier_gray_index(self):
+        # (1,0,0) scores 0.3 at Gray index 1; (0,1,1) scores 0.1 + 0.2 =
+        # 0.30000000000000004 at Gray index 4
+        coeffs = {(0, 0): 0.3, (0, 1): -1.0, (0, 2): -1.0, (1, 1): 0.1, (2, 2): 0.2}
+        forward = QuboInstance(3, coeffs)
+        reverse = QuboInstance(3, dict(reversed(list(coeffs.items()))))
+        for inst in (forward, reverse):
+            out = solve_exact(inst)
+            assert out.solution.bits == (1, 0, 0)
+            assert out.solution.value == 0.3
+        assert bits_of(solve_batch([forward, reverse])) == [(1, 0, 0)] * 2
+
+    def test_near_tie_across_blocks(self, monkeypatch):
+        # single variables score 1, 1 + 0.6 tol and 1 + 1.2 tol at Gray
+        # indices 1, 3 and 7; pairs are cut off.  Only x1 is within tol of
+        # the maximum and earlier than x2, whatever the block size.
+        coeffs = {(0, 1): -1000.0, (0, 2): -1000.0, (1, 2): -1000.0}
+        tol = 6 * np.finfo(float).eps * (3.0 + 6000.0)
+        coeffs.update({(0, 0): 1.0, (1, 1): 1.0 + 0.6 * tol, (2, 2): 1.0 + 1.2 * tol})
+        inst = QuboInstance(3, coeffs)
+        assert solve_exact(inst).solution.bits == (0, 1, 0)
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 1)
+        assert solve_exact(inst).solution.bits == (0, 1, 0)
+
+    def test_small_blocks_give_identical_bits(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        config = SolverConfig(time_budget=None)
+        batches = []
+        for n in (4, 8, 11):
+            for scale in (1.0, 0.1):
+                gen = random_generators(rng, n, 3, scale)
+                # an isolated variable makes every optimum tie across blocks
+                entries = {key: v for key, v in gen.entries.items() if n - 1 not in key}
+                batches.append(scenario_instances(ScenarioGenerators(n, entries))[3])
+        want = [bits_of(solve_batch(b, config)) for b in batches]
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
+        assert [bits_of(solve_batch(b, config)) for b in batches] == want
+
+    def test_budget_runs_out_for_the_whole_batch(self, monkeypatch):
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(24)
+        _diff, _k, _design, scenarios = scenario_instances(random_generators(rng, 10, 3))
+        outcomes = solve_batch(scenarios, SolverConfig(time_budget=1e-9))
+        assert {out.status for out in outcomes} == {BUDGET_EXHAUSTED}
+        assert len({out.nodes_or_iterations for out in outcomes}) == 1
+        for inst, out in zip(scenarios, outcomes):
+            assert evaluate(inst, out.solution.bits) == out.solution.value
+
+    def test_rejects_mixed_sizes_and_large_n(self):
+        with pytest.raises(ValueError):
+            solve_batch([QuboInstance(2, {}), QuboInstance(3, {})])
+        with pytest.raises(ValueError):
+            solve_batch([QuboInstance(3, {})], SolverConfig(enum_threshold=2))
+        assert solve_batch([]) == []
+
+    def test_empty_instance(self):
+        out = solve_exact(QuboInstance(0, {}))
+        assert out.solution.bits == () and out.solution.value == 0.0
+        assert out.status == PROVEN_OPTIMAL
 
 
 class TestSolveHeuristic:
