@@ -4,45 +4,58 @@ A pair of generator matrices assigns every coefficient position two levels.
 Positions where the levels differ become design factors; a Sylvester
 Hadamard construction yields a balanced, pairwise-orthogonal +1/-1 run
 table whose rows instantiate concrete scenario matrices.
+
+Generators store their support the way ``QuboInstance`` does: read-only
+arrays ``rows`` and ``cols`` sorted by (i, j), with the two levels in ``a``
+and ``b``.  Every scenario has that support, so one builder, ``_scenarios``,
+puts a vector of values on it; design runs, random interior scenarios and
+the midpoint matrix differ only in the vector.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qubo import Key, QuboInstance
+from .qubo import Key, QuboInstance, _Record, _support
 
 
-@dataclass(frozen=True)
-class ScenarioGenerators:
+@dataclass(frozen=True, eq=False, init=False)
+class ScenarioGenerators(_Record):
     """Two extreme coefficient settings per position.
 
-    ``entries`` maps an upper-triangular (i, j) position to the pair
-    (level_a, level_b), stored in (i, j) order.  The labels carry no
-    numeric ordering; level_a is simply the value a +1 design setting
-    selects.  Positions absent from the mapping are zero in both matrices.
+    Built from a mapping of upper-triangular (i, j) positions to pairs
+    (level_a, level_b), or from arrays (rows, cols, a, b), under the same
+    checks as ``QuboInstance``; positions with both levels zero are
+    dropped.  The labels carry no numeric ordering; level_a is simply the
+    value a +1 design setting selects.  Positions absent from the support
+    are zero in both matrices.
     """
 
     n: int
-    entries: Mapping[Key, tuple[float, float]]
+    rows: np.ndarray
+    cols: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"variable count must be >= 1, got {self.n!r}")
-        n = self.n
-        clean: list[tuple[Key, tuple[float, float]]] = []
-        for (i, j), (a, b) in self.entries.items():
-            if not (0 <= i <= j < n):
-                raise ValueError(f"position ({i}, {j}) out of range for n={n}")
-            a, b = float(a), float(b)
-            if a != 0.0 or b != 0.0:
-                clean.append(((int(i), int(j)), (a, b)))
-        clean.sort()
-        object.__setattr__(self, "entries", dict(clean))
+    def __init__(self, n: int, entries):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"variable count must be >= 1, got {n!r}")
+        rows, cols, a, b = _support(n, entries, 2, "position")
+        self._freeze(n=n, rows=rows, cols=cols, a=a, b=b)
+
+    def __reduce__(self):
+        return type(self), (self.n, (self.rows, self.cols, self.a, self.b))
+
+    @property
+    def entries(self) -> Mapping[Key, tuple[float, float]]:
+        """Read-only {(i, j): (level_a, level_b)} view in (i, j) order, built on each access."""
+        keys = zip(self.rows.tolist(), self.cols.tolist())
+        return MappingProxyType(dict(zip(keys, zip(self.a.tolist(), self.b.tolist()))))
 
 
 @dataclass(frozen=True)
@@ -82,8 +95,8 @@ class DesignMatrix:
 
 def differing_elements(gen: ScenarioGenerators) -> DifferenceSet:
     """Positions whose two levels differ; equal-level positions are scenario constants."""
-    positions = tuple(sorted(k for k, (a, b) in gen.entries.items() if a != b))
-    return DifferenceSet(positions=positions)
+    d = gen.a != gen.b
+    return DifferenceSet(positions=tuple(zip(gen.rows[d].tolist(), gen.cols[d].tolist())))
 
 
 def run_count(d: int) -> int:
@@ -118,23 +131,48 @@ def build_design(k: int, d: int) -> DesignMatrix:
     return DesignMatrix(k=k, d=d, levels=h[:, 1 : d + 1])
 
 
+def _support_index(gen: ScenarioGenerators, positions: np.ndarray) -> np.ndarray:
+    """Support index of each position (a 2 x m array of i and j), -1 where absent."""
+    key = gen.rows * gen.n + gen.cols
+    want = positions[0] * gen.n + positions[1]
+    at = np.searchsorted(key, want)
+    hit = at < key.size
+    hit[hit] = key[at[hit]] == want[hit]
+    return np.where(hit, at, -1)
+
+
+def _scenarios(gen: ScenarioGenerators, values: np.ndarray) -> list[QuboInstance]:
+    """One instance per row of ``values``, which holds a value per support position."""
+    return [QuboInstance(gen.n, (gen.rows, gen.cols, v)) for v in values]
+
+
+def _run_values(gen: ScenarioGenerators, diff: DifferenceSet, levels: np.ndarray) -> np.ndarray:
+    """Support values of design runs: +1 picks level_a, -1 picks level_b.
+
+    Row r of the 2-D ``levels`` sets the positions of ``diff`` in order;
+    every other position keeps level_a.
+    """
+    where = _support_index(gen, np.array(diff.positions, dtype=np.int64).reshape(-1, 2).T)
+    if np.any(where < 0):
+        raise ValueError("difference set names a position the generators do not have")
+    levels = np.asarray(levels)
+    values = np.tile(gen.a, (len(levels), 1))
+    values[:, where] = np.where(levels > 0, gen.a[where], gen.b[where])
+    return values
+
+
 def instantiate_scenario(
     gen: ScenarioGenerators, diff: DifferenceSet, row: Sequence[int]
 ) -> QuboInstance:
     """Concrete matrix for one design row: +1 picks level_a, -1 picks level_b."""
     if len(row) != diff.d:
         raise ValueError(f"row length {len(row)} != factor count {diff.d}")
-    values = {pos: a for pos, (a, _b) in gen.entries.items()}
-    for m, pos in enumerate(diff.positions):
-        a, b = gen.entries[pos]
-        values[pos] = a if row[m] > 0 else b
-    return QuboInstance(n=gen.n, coefficients=values)
+    return _scenarios(gen, _run_values(gen, diff, [row]))[0]
 
 
 def average_instance(gen: ScenarioGenerators) -> QuboInstance:
     """Matrix with every position at the midpoint of its two levels."""
-    values = {pos: (a + b) / 2.0 for pos, (a, b) in gen.entries.items()}
-    return QuboInstance(n=gen.n, coefficients=values)
+    return _scenarios(gen, [(gen.a + gen.b) / 2.0])[0]
 
 
 def perturbed_generators(instance: QuboInstance, fraction: float) -> ScenarioGenerators:
@@ -145,23 +183,22 @@ def perturbed_generators(instance: QuboInstance, fraction: float) -> ScenarioGen
     """
     if fraction <= 0.0:
         raise ValueError(f"perturbation fraction must be positive, got {fraction}")
-    entries = {
-        pos: (v * (1.0 + fraction), v * (1.0 - fraction))
-        for pos, v in instance.coefficients.items()
-    }
-    return ScenarioGenerators(n=instance.n, entries=entries)
+    v = instance.vals
+    return ScenarioGenerators(
+        instance.n, (instance.rows, instance.cols, v * (1.0 + fraction), v * (1.0 - fraction))
+    )
 
 
 def random_scenario(gen: ScenarioGenerators, seed: int) -> QuboInstance:
-    """Scenario with each differing position drawn uniformly between its levels."""
+    """Scenario with each differing position drawn uniformly between its levels.
+
+    Draws go to the differing positions in (i, j) order.
+    """
     rng = np.random.default_rng(seed)
-    diff = differing_elements(gen)
-    values = {pos: a for pos, (a, _b) in gen.entries.items()}
-    for pos in diff.positions:
-        a, b = gen.entries[pos]
-        lo, hi = min(a, b), max(a, b)
-        values[pos] = float(rng.uniform(lo, hi))
-    return QuboInstance(n=gen.n, coefficients=values)
+    d = gen.a != gen.b
+    values = gen.a.copy()
+    values[d] = rng.uniform(np.minimum(gen.a[d], gen.b[d]), np.maximum(gen.a[d], gen.b[d]))
+    return _scenarios(gen, [values])[0]
 
 
 def generators_to_json(gen: ScenarioGenerators) -> dict:
@@ -169,7 +206,7 @@ def generators_to_json(gen: ScenarioGenerators) -> dict:
         "n": gen.n,
         "entries": [
             {"i": i, "j": j, "a": a, "b": b}
-            for (i, j), (a, b) in sorted(gen.entries.items())
+            for (i, j), (a, b) in gen.entries.items()
         ],
     }
 

@@ -13,21 +13,25 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
+import numpy as np
+
 from .design import (
     DesignMatrix,
     DifferenceSet,
     ScenarioGenerators,
+    _run_values,
+    _scenarios,
     build_design,
     differing_elements,
-    instantiate_scenario,
     run_count,
 )
-from .qubo import QuboInstance, evaluate, format_number
+from .qubo import QuboInstance, _terms, evaluate, format_number
 from .solver import (
     MODE_HEURISTIC,
     PROVEN_OPTIMAL,
     BinarySolution,
     SolverConfig,
+    _tie_tolerance,
     solve,
     solve_batch,
 )
@@ -74,11 +78,9 @@ def scenario_instances(
     """
     diff = differing_elements(gen)
     k = run_count(diff.d)
-    if diff.d == 0:
-        return diff, 1, None, [instantiate_scenario(gen, diff, ())]
-    design = build_design(k, diff.d)
-    instances = [instantiate_scenario(gen, diff, design.levels[i]) for i in range(k)]
-    return diff, k, design, instances
+    design = build_design(k, diff.d) if diff.d else None
+    levels = design.levels if design else np.ones((1, 0))
+    return diff, k, design, _scenarios(gen, _run_values(gen, diff, levels))
 
 
 def _scenario_task(args) -> tuple[int, object]:
@@ -167,7 +169,10 @@ def coverage(
     """Percentage of scenarios where the reference attains the scenario optimum.
 
     The match is on objective value, not bits, so alternate optima count as
-    covered.
+    covered.  A reference attains the optimum when it scores at least the
+    reported value minus ``max(atol, tol)``, where tol is the solver's tie
+    tolerance for that scenario: the tie rule may report an assignment up
+    to tol below another one's computed value.
     """
     if len(results) != len(scenarios):
         raise ValueError("results and scenarios must align one to one")
@@ -179,7 +184,8 @@ def coverage(
         )
     hits = 0
     for res, inst in zip(results, scenarios):
-        if abs(evaluate(inst, reference) - res.value) <= atol:
+        slack = max(atol, float(_tie_tolerance(_terms(inst))))
+        if evaluate(inst, reference) >= res.value - slack:
             hits += 1
     return 100.0 * hits / len(results)
 

@@ -88,8 +88,7 @@ def _instance(d: np.ndarray, o: np.ndarray, name: str | None) -> QuboInstance:
     q = np.triu(o)
     q[np.diag_indices(d.size)] = d
     rows, cols = np.nonzero(q)
-    coeffs = dict(zip(zip(rows.tolist(), cols.tolist()), q[rows, cols].tolist()))
-    return QuboInstance(n=d.size, coefficients=coeffs, name=name)
+    return QuboInstance(d.size, (rows, cols, q[rows, cols]), name=name)
 
 
 def _classify(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,11 +7,19 @@ The model maximized everywhere in this package is
 i.e. the quadratic form x^t Q x of a symmetric matrix Q whose upper
 triangle is stored sparsely.  An entry keyed (i, j) with i < j stands for
 both c_ij and c_ji, hence the doubling; absent entries are exactly zero.
+
+An instance stores its upper triangle as three read-only arrays in COO
+form: ``rows`` and ``cols`` (int64) and ``vals`` (float64), sorted by
+(i, j), without zeros.  ``evaluate`` and ``positive_sum_bound`` add their
+terms one at a time in that (i, j) order, starting from 0.0, so a value
+does not depend on the order the coefficients were given in.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,8 +35,57 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class QuboInstance:
+def _support(n: int, data, width: int, label: str) -> list[np.ndarray]:
+    """The one check of a sparse upper triangle, given as a mapping or as arrays.
+
+    ``data`` maps (i, j) to ``width`` values (a bare value when ``width`` is
+    1), or is a tuple (rows, cols, *values) of equal-length 1-D arrays.
+    Returns read-only int64 rows and cols and ``width`` float64 value
+    arrays, sorted by (i, j), without the positions where every value is
+    zero.  A position outside 0 <= i <= j < n, a repeated position or a
+    NaN or infinite value raises ValueError, naming the ``label``.
+    """
+    if isinstance(data, Mapping):
+        keys = np.array(list(data), dtype=np.int64).reshape(-1, 2).T
+        data = (*keys, *np.array(list(data.values()), dtype=np.float64).reshape(len(data), width).T)
+    rows, cols, *values = data
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    values = np.array(values, dtype=np.float64)
+    if rows.ndim != 1 or cols.shape != rows.shape or values.shape != (width, rows.size):
+        raise ValueError(f"need rows, cols and {width} value arrays, all 1-D of one length")
+    for bad, problem in (
+        ((rows < 0) | (rows > cols) | (cols >= n), f"out of range for n={n}"),
+        (~np.isfinite(values).all(axis=0), "has a NaN or infinite value"),
+    ):
+        if bad.any():
+            raise ValueError(f"{label} ({rows[bad.argmax()]}, {cols[bad.argmax()]}) {problem}")
+    key = rows * n + cols
+    order = np.flatnonzero(values.any(axis=0))
+    order = order[np.argsort(key[order], kind="stable")]
+    repeated = np.flatnonzero(np.diff(key[order]) == 0)
+    if repeated.size:
+        raise ValueError(f"{label} {divmod(int(key[order[repeated[0]]]), n)} is repeated")
+    out = [rows[order], cols[order], *values[:, order]]
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+class _Record:
+    """Base of the frozen array records: fields set once, compared by value."""
+
+    def _freeze(self, **values) -> None:
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in vars(self))
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class QuboInstance(_Record):
     """Immutable n x n symmetric coefficient matrix, upper-triangular sparse.
 
     Parameters
@@ -36,56 +93,52 @@ class QuboInstance:
     n : int
         Variable count.  Zero is allowed so that variable fixing can reduce
         an instance to nothing; the text parser rejects it.
-    coefficients : mapping of (i, j) -> float
-        Keys must satisfy 0 <= i <= j < n.  Zero values are dropped on
-        construction so that "absent" and "zero" coincide, and the entries
-        are stored in (i, j) order, so sums over them do not depend on the
-        order they were given in.
+    coefficients : mapping of (i, j) -> float, or (rows, cols, vals) arrays
+        Positions must satisfy 0 <= i <= j < n, appear once, and carry
+        finite values.  Zero values are dropped, and the rest are stored
+        in (i, j) order as the read-only arrays ``rows``, ``cols`` and
+        ``vals``.
     name : str, optional
         Free-form label carried through reports.
     """
 
     n: int
-    coefficients: Mapping[Key, float]
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     name: str | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"variable count must be a nonnegative integer, got {self.n!r}")
-        clean: dict[Key, float] = {}
-        last = (-1, -1)
-        in_order = True
-        for key, value in self.coefficients.items():
-            i, j = key
-            if not (0 <= i <= j < self.n):
-                raise ValueError(f"coefficient key ({i}, {j}) out of range for n={self.n}")
-            value = float(value)
-            if value != 0.0:
-                key = (int(i), int(j))
-                in_order = in_order and key > last
-                last = key
-                clean[key] = value
-        if not in_order:
-            clean = dict(sorted(clean.items()))
-        object.__setattr__(self, "coefficients", clean)
+    def __init__(self, n: int, coefficients, name: str | None = None):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"variable count must be a nonnegative integer, got {n!r}")
+        rows, cols, vals = _support(n, coefficients, 1, "coefficient key")
+        self._freeze(n=n, rows=rows, cols=cols, vals=vals, name=name)
+
+    def __reduce__(self):
+        return type(self), (self.n, (self.rows, self.cols, self.vals), self.name)
+
+    @property
+    def coefficients(self) -> Mapping[Key, float]:
+        """Read-only {(i, j): value} view in (i, j) order, built on each access."""
+        return MappingProxyType(dict(self.entries()))
 
     @property
     def nnz(self) -> int:
-        return len(self.coefficients)
+        return self.vals.size
 
     def entries(self) -> list[tuple[Key, float]]:
         """Nonzero entries sorted by (i, j)."""
-        return list(self.coefficients.items())
+        return list(zip(zip(self.rows.tolist(), self.cols.tolist()), self.vals.tolist()))
 
     def diagonal(self, i: int) -> float:
-        return self.coefficients.get((i, i), 0.0)
+        v = self.vals[(self.rows == i) & (self.cols == i)]
+        return float(v[0]) if v.size else 0.0
 
     def to_dense(self) -> np.ndarray:
         """Full symmetric matrix with off-diagonal values mirrored."""
         q = np.zeros((self.n, self.n))
-        for (i, j), v in self.coefficients.items():
-            q[i, j] = v
-            q[j, i] = v
+        q[self.rows, self.cols] = self.vals
+        q[self.cols, self.rows] = self.vals
         return q
 
     @classmethod
@@ -96,11 +149,8 @@ class QuboInstance:
             raise ValueError("matrix must be square and 2-dimensional")
         if not np.array_equal(m, m.T):
             raise ValueError("matrix must be symmetric")
-        n = m.shape[0]
-        coeffs = {
-            (i, j): m[i, j] for i in range(n) for j in range(i, n) if m[i, j] != 0.0
-        }
-        return cls(n=n, coefficients=coeffs, name=name)
+        rows, cols = np.triu_indices(m.shape[0])
+        return cls(m.shape[0], (rows, cols, m[rows, cols]), name=name)
 
 
 @dataclass(frozen=True)
@@ -116,42 +166,45 @@ class BinarySolution:
         return "".join(str(b) for b in self.bits)
 
 
-def _check_bits(instance: QuboInstance, bits: Sequence[int]) -> None:
-    if len(bits) != instance.n:
-        raise ValueError(f"assignment length {len(bits)} != n={instance.n}")
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"non-binary assignment entry {b!r}")
+def _terms(instance: QuboInstance) -> np.ndarray:
+    """Each stored entry's weight in the objective: off-diagonals doubled."""
+    return np.where(instance.rows == instance.cols, instance.vals, 2.0 * instance.vals)
+
+
+def _sequential_sum(terms: np.ndarray) -> float:
+    """0.0 + terms[0] + terms[1] + ..., added left to right like a Python loop.
+
+    ``np.add.accumulate`` keeps that order where ``np.sum`` would pair terms
+    up; the leading 0.0 turns an all-negative-zero sum into 0.0 as the loop does.
+    """
+    return 0.0 + float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
 
 
 def evaluate(instance: QuboInstance, bits: Sequence[int]) -> float:
     """Objective value of a binary assignment.
 
     Off-diagonal coefficients count twice, matching the symmetric-matrix
-    quadratic form x^t Q x.
+    quadratic form x^t Q x.  Terms are added in (i, j) order.
     """
-    _check_bits(instance, bits)
-    total = 0.0
-    for (i, j), v in instance.coefficients.items():
-        if i == j:
-            total += v * bits[i]
-        else:
-            total += 2.0 * v * bits[i] * bits[j]
-    return total
+    if len(bits) != instance.n:
+        raise ValueError(f"assignment length {len(bits)} != n={instance.n}")
+    x = np.asarray(bits, dtype=np.float64)
+    bad = (x != 0.0) & (x != 1.0)
+    if bad.any():
+        raise ValueError(f"non-binary assignment entry {bits[int(bad.argmax())]!r}")
+    return _sequential_sum(_terms(instance) * (x[instance.rows] * x[instance.cols]))
 
 
 def positive_sum_bound(instance: QuboInstance) -> float:
     """Sum of all positive matrix elements: a cheap upper bound on the maximum.
 
-    Diagonal entries count once, off-diagonal entries twice.  The bound is
-    valid for every binary assignment since dropping any term of the
-    objective with x_i = 0 can only remove nonpositive contributions.
+    Diagonal entries count once, off-diagonal entries twice, added in
+    (i, j) order.  The bound is valid for every binary assignment since
+    dropping any term of the objective with x_i = 0 can only remove
+    nonpositive contributions.
     """
-    total = 0.0
-    for (i, j), v in instance.coefficients.items():
-        if v > 0.0:
-            total += v if i == j else 2.0 * v
-    return total
+    terms = _terms(instance)
+    return _sequential_sum(terms[terms > 0.0])
 
 
 def parse_instance(text: str, name: str | None = None) -> QuboInstance:
@@ -193,6 +246,8 @@ def parse_instance(text: str, name: str | None = None) -> QuboInstance:
             v = float(parts[2])
         except ValueError:
             raise ParseError(f"malformed entry {line!r}", lineno) from None
+        if not math.isfinite(v):
+            raise ParseError(f"non-finite value in {line!r}", lineno)
         if not (1 <= i <= n) or not (1 <= j <= n):
             raise ParseError(f"index out of range in {line!r} (n={n})", lineno)
         key = (min(i, j) - 1, max(i, j) - 1)

@@ -18,6 +18,7 @@ from .design import (
     DesignMatrix,
     DifferenceSet,
     ScenarioGenerators,
+    _support_index,
     differing_elements,
     random_scenario,
 )
@@ -85,30 +86,36 @@ def code_scenario(
     """
     if instance.n != gen.n:
         raise ValueError(f"instance has n={instance.n}, generators n={gen.n}")
-    diff_set = set(diff.positions)
-    for pos, v in instance.coefficients.items():
-        if pos not in gen.entries and pos not in diff_set:
-            raise ValueError(f"instance has a coefficient at {pos} unknown to the generators")
-    for pos, (a, b) in gen.entries.items():
-        if pos in diff_set:
-            continue
-        v = instance.coefficients.get(pos, 0.0)
-        if v != a:
-            raise ValueError(
-                f"non-differing position {pos} is {v}, generators fix it at {a}"
-            )
-    z = np.zeros(diff.d)
-    for m, pos in enumerate(diff.positions):
-        a, b = gen.entries[pos]
-        q = instance.coefficients.get(pos, 0.0)
-        lo, hi = min(a, b), max(a, b)
-        tol = 1e-9 * max(1.0, abs(lo), abs(hi))
-        if q < lo - tol or q > hi + tol:
-            raise ValueError(
-                f"value {q} at {pos} outside the level interval [{lo}, {hi}]"
-            )
-        z[m] = (2.0 * q - (a + b)) / (a - b)
-    return z
+    at_diff = _support_index(gen, np.array(diff.positions, dtype=np.int64).reshape(-1, 2).T)
+    if np.any(at_diff < 0):
+        missing = diff.positions[int(np.argmax(at_diff < 0))]
+        raise ValueError(f"differing position {missing} unknown to the generators")
+    at = _support_index(gen, np.array([instance.rows, instance.cols]))
+    if np.any(at < 0):
+        t = int(np.argmax(at < 0))
+        pos = (int(instance.rows[t]), int(instance.cols[t]))
+        raise ValueError(f"instance has a coefficient at {pos} unknown to the generators")
+    q = np.zeros(gen.a.size)
+    q[at] = instance.vals
+    fixed = np.ones(gen.a.size, dtype=bool)
+    fixed[at_diff] = False
+    off = fixed & (q != gen.a)
+    if off.any():
+        t = int(off.argmax())
+        raise ValueError(
+            f"non-differing position {(int(gen.rows[t]), int(gen.cols[t]))} is {q[t]}, "
+            f"generators fix it at {gen.a[t]}"
+        )
+    q, a, b = q[at_diff], gen.a[at_diff], gen.b[at_diff]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    tol = 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    out = (q < lo - tol) | (q > hi + tol)
+    if out.any():
+        m = int(out.argmax())
+        raise ValueError(
+            f"value {q[m]} at {diff.positions[m]} outside the level interval [{lo[m]}, {hi[m]}]"
+        )
+    return (2.0 * q - (a + b)) / (a - b)
 
 
 def fit_model(

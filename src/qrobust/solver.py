@@ -22,7 +22,9 @@ exact value compute within tol of each other.  The kernel picks the
 earliest assignment in Gray-code order whose computed value is at least
 the computed maximum minus tol, and reports the value ``evaluate`` gives
 for it.  Exact ties therefore go to the earliest of them in Gray-code
-order however the sum was grouped.
+order however the sum was grouped.  Branch-and-bound leaves enumerate in
+binary order under the same rule, with ``V`` every element of the leaf's
+dense matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .preprocess import _classify, _fold, _split, fix_variables, merge_assignment
-from .qubo import BinarySolution, QuboInstance, evaluate
+from .qubo import BinarySolution, QuboInstance, _sequential_sum, _terms, evaluate
 
 PROVEN_OPTIMAL = "proven_optimal"
 HEURISTIC = "heuristic"
@@ -101,16 +103,22 @@ def one_flip_gain(instance: QuboInstance, bits, i: int) -> float:
         raise ValueError(f"variable index {i} out of range for n={instance.n}")
     if len(bits) != instance.n:
         raise ValueError(f"assignment length {len(bits)} != n={instance.n}")
-    field = 0.0
-    for (p, q), v in instance.coefficients.items():
-        if p == q:
-            if p == i:
-                field += v
-        elif p == i:
-            field += 2.0 * v * bits[q]
-        elif q == i:
-            field += 2.0 * v * bits[p]
-    return (1.0 - 2.0 * bits[i]) * field
+    x = np.asarray(bits, dtype=np.float64)
+    touch = (instance.rows == i) | (instance.cols == i)
+    rows, cols = instance.rows[touch], instance.cols[touch]
+    # a diagonal counts whatever x_i is; a pair counts through its other end
+    partner = np.where(rows == cols, 1.0, x[rows + cols - i])
+    return (1.0 - 2.0 * float(x[i])) * _sequential_sum(_terms(instance)[touch] * partner)
+
+
+def _tie_tolerance(terms: np.ndarray) -> np.ndarray:
+    """The tie tolerance of the module docstring, one per column of ``terms``.
+
+    ``terms`` holds, one row each, the coefficients an objective adds up:
+    an instance's support values with off-diagonals doubled (``_terms``),
+    or every element of a dense matrix.
+    """
+    return len(terms) * np.finfo(float).eps * np.abs(terms).sum(axis=0)
 
 
 class _Sweep:
@@ -131,17 +139,15 @@ class _Sweep:
     def __init__(self, instances: Sequence[QuboInstance]):
         n = instances[0].n
         k = len(instances)
-        keys = sorted(set().union(*(inst.coefficients for inst in instances)))
-        where = {key: p for p, key in enumerate(keys)}
+        keys, where = np.unique(
+            np.concatenate([inst.rows * n + inst.cols for inst in instances]), return_inverse=True
+        )
         values = np.zeros((len(keys), k))
-        for s, inst in enumerate(instances):
-            for key, v in inst.coefficients.items():
-                values[where[key], s] = v
-        i, j = np.array(keys, dtype=np.int64).reshape(-1, 2).T
-        values[i != j] *= 2.0
+        owner = np.repeat(np.arange(k), [inst.nnz for inst in instances])
+        values[where, owner] = np.concatenate([_terms(inst) for inst in instances])
+        i, j = np.divmod(keys, n)
         self.values = values
-        # the tie tolerance of the module docstring, one per instance
-        self.tol = len(keys) * np.finfo(float).eps * np.abs(values).sum(axis=0)
+        self.tol = _tie_tolerance(values)
 
         def pairs(low: int) -> np.ndarray:
             return (i != j) & (j < low)
@@ -253,11 +259,15 @@ def _earliest_within(sweep: _Sweep, block_max, s: int, thr: float, start: int, s
 
 
 def _submatrix_max(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact maximum of x^t m x over all assignments of a small dense matrix."""
+    """Maximum of x^t m x over all assignments of a small dense matrix.
+
+    Ties follow the enumeration's rule in binary order: the earliest
+    assignment within the tie tolerance of the computed maximum wins.
+    """
     f = m.shape[0]
     x = _LEAF_TABLE[: 1 << f, :f]
     vals = np.einsum("ij,ij->i", x @ m, x)
-    j = int(np.argmax(vals))
+    j = int(np.argmax(vals >= vals.max() - _tie_tolerance(m.reshape(-1))))
     return float(vals[j]), x[j].astype(np.int8)
 
 

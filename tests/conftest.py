@@ -68,11 +68,14 @@ def random_instance(rng: np.random.Generator, n: int, density: float) -> QuboIns
 def enumerate_all_values(instance: QuboInstance) -> np.ndarray:
     """Objective of every assignment via dense expansion, standard binary order.
 
-    Independent of the package's solve paths: full symmetric matrix, x Q x
-    per row, assignment t has bit k of t as variable k.
+    Independent of the package's solve paths and of ``to_dense``: the full
+    symmetric matrix is filled from the coefficient mapping, x Q x per row,
+    assignment t has bit k of t as variable k.
     """
     n = instance.n
-    q = instance.to_dense()
+    q = np.zeros((n, n))
+    for (i, j), v in instance.coefficients.items():
+        q[i, j] = q[j, i] = v
     total = 1 << n
     shifts = np.arange(n)
     vals = np.empty(total)

@@ -42,6 +42,12 @@ class TestSolveCommand:
         assert main(["solve", "--in", str(bad)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_value_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("2 2\n1 1 1\n1 2 nan\n")
+        assert main(["solve", "--in", str(bad)]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_repeat_run_is_byte_identical(self, demo5_file, tmp_path, capsys):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
@@ -251,6 +257,18 @@ class TestFitAndBoundCommands:
             ) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("level", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_generator_level_exits_2(self, tmp_path, capsys, level):
+        gen = tmp_path / "gen.json"
+        gen.write_text(
+            '{"n": 2, "entries": [{"i": 0, "j": 0, "a": 1, "b": 2}, '
+            f'{{"i": 0, "j": 1, "a": {level}, "b": -1}}]}}'
+        )
+        out = tmp_path / "model.json"
+        assert main(["fit", "--gen", str(gen), "--budget", "0", "--out", str(out)]) == 2
+        assert "(0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_degenerate_generators_exit_2(self, tmp_path, capsys):
         from qrobust import ScenarioGenerators

@@ -1,6 +1,7 @@
 """Difference sets, run counts, Hadamard designs and scenario instantiation."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from qrobust import (
     run_count,
 )
 from qrobust.design import (
+    DifferenceSet,
     design_from_csv,
     design_to_csv,
     generators_from_json,
     generators_to_json,
 )
+from qrobust.pipeline import scenario_instances
 
 
 class TestDifferingElements:
@@ -43,6 +46,35 @@ class TestDifferingElements:
 
     def test_entries_kept_in_index_order(self, business_gen):
         assert list(business_gen.entries) == sorted(business_gen.entries)
+
+
+class TestScenarioGenerators:
+    def test_mapping_and_array_forms_agree(self):
+        mapping = ScenarioGenerators(3, {(2, 2): (1.0, 2.0), (0, 1): (0.0, -1.0), (1, 1): (0, 0)})
+        arrays = ScenarioGenerators(3, ([2, 0, 1], [2, 1, 1], [1.0, 0.0, 0.0], [2.0, -1.0, 0.0]))
+        assert mapping == arrays
+        assert arrays.entries == {(0, 1): (0.0, -1.0), (2, 2): (1.0, 2.0)}
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_levels(self, bad):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            ScenarioGenerators(2, {(0, 0): (1.0, 2.0), (0, 1): (1.0, bad)})
+
+    def test_rejects_out_of_range_and_lower_triangle(self):
+        for key in [(1, 0), (0, 2), (-1, 0)]:
+            with pytest.raises(ValueError, match="out of range"):
+                ScenarioGenerators(2, {key: (1.0, 2.0)})
+
+    def test_entries_are_read_only(self, business_gen):
+        with pytest.raises(TypeError):
+            business_gen.entries[(0, 0)] = (1.0, 2.0)
+        with pytest.raises(ValueError):
+            business_gen.a[0] = 1.0
+
+    def test_pickle_round_trip(self, business_gen):
+        again = pickle.loads(pickle.dumps(business_gen))
+        assert again == business_gen and again.entries == business_gen.entries
+        assert not again.b.flags.writeable
 
 
 class TestRunCount:
@@ -125,6 +157,21 @@ class TestInstantiate:
             a, b = business_gen.entries[pos]
             assert left.coefficients.get(pos, 0.0) + right.coefficients.get(pos, 0.0) == a + b
 
+    def test_rows_of_one_design_match_single_instantiation(self, business_gen):
+        diff, k, design, instances = scenario_instances(business_gen)
+        for r in range(k):
+            assert instances[r] == instantiate_scenario(business_gen, diff, design.levels[r])
+
+    def test_subset_difference_set_keeps_level_a_elsewhere(self, business_gen):
+        diff = DifferenceSet(positions=((0, 0), (5, 8)))
+        inst = instantiate_scenario(business_gen, diff, [-1, -1])
+        assert inst.coefficients[(0, 0)] == 2.0 and inst.coefficients[(5, 8)] == -5.0
+        assert inst.coefficients[(2, 2)] == -3.0  # level a
+
+    def test_unknown_position_rejected(self, business_gen):
+        with pytest.raises(ValueError):
+            instantiate_scenario(business_gen, DifferenceSet(positions=((4, 5),)), [1])
+
     def test_row_length_checked(self, business_gen):
         diff = differing_elements(business_gen)
         with pytest.raises(ValueError):
@@ -176,6 +223,17 @@ class TestRandomScenario:
         inst = random_scenario(business_gen, 0)
         assert inst.coefficients[(0, 1)] == -100.0
         assert inst.coefficients[(1, 1)] == 2.0
+
+    def test_draws_match_one_scalar_draw_per_position(self, business_gen):
+        # the per-position loop random_scenario used before it drew a vector
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            want = {pos: a for pos, (a, _b) in business_gen.entries.items()}
+            for pos in differing_elements(business_gen).positions:
+                a, b = business_gen.entries[pos]
+                want[pos] = float(rng.uniform(min(a, b), max(a, b)))
+            want = {pos: v for pos, v in want.items() if v != 0.0}
+            assert random_scenario(business_gen, seed).coefficients == want
 
     def test_deterministic_in_seed(self, business_gen):
         assert random_scenario(business_gen, 9).coefficients == random_scenario(

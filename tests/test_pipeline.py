@@ -108,6 +108,24 @@ class TestCoverage:
         _diff, _k, _design, instances = scenario_instances(gen)
         assert coverage(results, instances, (0, 1)) == 0.0
 
+    def test_reference_within_the_tie_tolerance_is_covered(self):
+        # one scenario; the tie rule reports 100 (0.3) at Gray index 1 while
+        # the reference 011 computes 0.1 + 0.2 = 0.30000000000000004
+        constant = {(0, 0): 0.3, (1, 1): 0.1, (2, 2): 0.2, (0, 1): -1.0, (0, 2): -1.0}
+        gen = ScenarioGenerators(3, {pos: (v, v) for pos, v in constant.items()})
+        report, results = run_robust_analysis(gen, EXACT)
+        _diff, _k, _design, instances = scenario_instances(gen)
+        assert report.most_robust == "100" and results[0].value == 0.3
+        assert coverage(results, instances, (0, 1, 1)) == 100.0
+        assert coverage(results, instances, (1, 0, 0)) == 100.0
+        assert coverage(results, instances, (0, 1, 0)) == 0.0
+
+    def test_atol_widens_the_match(self):
+        gen = ScenarioGenerators(2, {(0, 0): (5, 3), (1, 1): (-2, -4)})
+        _report, results = run_robust_analysis(gen, EXACT)
+        _diff, _k, _design, instances = scenario_instances(gen)
+        assert coverage(results, instances, (1, 1), atol=4.0) == 100.0
+
     def test_length_mismatch(self, business_gen):
         report, results = run_robust_analysis(business_gen, EXACT)
         _diff, _k, _design, instances = scenario_instances(business_gen)

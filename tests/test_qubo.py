@@ -1,5 +1,7 @@
 """Core instance type, evaluation, bound and the text format."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,64 @@ from qrobust import (
     parse_instance,
     positive_sum_bound,
 )
+
+
+def loop_evaluate(instance, bits):
+    """The dict loop ``evaluate`` used before instances stored arrays."""
+    total = 0.0
+    for (i, j), v in instance.coefficients.items():
+        if i == j:
+            total += v * bits[i]
+        else:
+            total += 2.0 * v * bits[i] * bits[j]
+    return total
+
+
+def loop_positive_sum_bound(instance):
+    """The dict loop ``positive_sum_bound`` used before instances stored arrays."""
+    total = 0.0
+    for (i, j), v in instance.coefficients.items():
+        if v > 0.0:
+            total += v if i == j else 2.0 * v
+    return total
+
+
+def loop_to_dense(instance):
+    """The dict loop ``to_dense`` used before instances stored arrays."""
+    q = np.zeros((instance.n, instance.n))
+    for (i, j), v in instance.coefficients.items():
+        q[i, j] = v
+        q[j, i] = v
+    return q
+
+
+def shuffled_float_instance(rng, n):
+    """Random float coefficients, some negative and some zero, inserted in shuffled order."""
+    iu, ju = np.triu_indices(n)
+    keep = rng.random(iu.size) < 0.6
+    values = rng.normal(size=iu.size) * 10.0 ** rng.integers(-3, 4, size=iu.size)
+    values[rng.random(iu.size) < 0.1] = 0.0
+    keys = [(int(i), int(j)) for i, j in zip(iu[keep], ju[keep])]
+    order = rng.permutation(len(keys))
+    return QuboInstance(n, {keys[t]: float(values[keep][t]) for t in order})
+
+
+class TestArraysMatchTheDictLoops:
+    def test_bit_for_bit_on_random_float_instances(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(1, 14))
+            inst = shuffled_float_instance(rng, n)
+            assert positive_sum_bound(inst) == loop_positive_sum_bound(inst)
+            assert np.array_equal(inst.to_dense(), loop_to_dense(inst))
+            for _ in range(8):
+                bits = tuple(int(b) for b in rng.integers(0, 2, size=n))
+                got, want = evaluate(inst, bits), loop_evaluate(inst, bits)
+                assert got == want and np.signbit(got) == np.signbit(want)
+
+    def test_a_negative_coefficient_at_zero_bits_gives_positive_zero(self):
+        inst = QuboInstance(2, {(0, 1): -3.0, (1, 1): -1.0})
+        assert str(evaluate(inst, (0, 0))) == str(loop_evaluate(inst, (0, 0))) == "0.0"
 
 
 class TestQuboInstance:
@@ -44,6 +104,50 @@ class TestQuboInstance:
         forward = QuboInstance(3, dict(diag))
         reverse = QuboInstance(3, dict(reversed(diag)))
         assert evaluate(forward, (1, 1, 1)) == evaluate(reverse, (1, 1, 1))
+
+    def test_mapping_and_array_forms_agree(self):
+        mapping = QuboInstance(3, {(2, 2): 3.0, (0, 1): -1.5, (0, 0): 2.0, (1, 2): 0.0})
+        arrays = QuboInstance(3, ([2, 0, 0, 1], [2, 1, 0, 2], [3.0, -1.5, 2.0, 0.0]))
+        assert mapping == arrays
+        assert arrays.coefficients == {(0, 0): 2.0, (0, 1): -1.5, (2, 2): 3.0}
+        assert arrays.rows.tolist() == [0, 0, 2] and arrays.cols.tolist() == [0, 1, 2]
+
+    def test_array_form_rejects_repeats_and_ragged_input(self):
+        with pytest.raises(ValueError, match="repeated"):
+            QuboInstance(2, ([0, 0], [1, 1], [1.0, 2.0]))
+        with pytest.raises(ValueError):
+            QuboInstance(2, ([0, 1], [1], [1.0, 2.0]))
+        with pytest.raises(ValueError):
+            QuboInstance(2, ([0], [1]))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            QuboInstance(2, {(0, 0): 1.0, (0, 1): bad})
+        with pytest.raises(ValueError):
+            QuboInstance(2, ([0], [1], [bad]))
+
+    def test_stored_form_is_read_only(self, demo5):
+        with pytest.raises(TypeError):
+            demo5.coefficients[(0, 0)] = 1.0
+        with pytest.raises(TypeError):
+            del demo5.coefficients[(0, 0)]
+        with pytest.raises(ValueError):
+            demo5.vals[0] = 1.0
+        with pytest.raises(AttributeError):
+            demo5.n = 4
+
+    def test_caller_arrays_stay_writable(self):
+        rows, cols, vals = np.array([0]), np.array([1]), np.array([2.0])
+        QuboInstance(2, (rows, cols, vals))
+        vals[0] = 3.0
+        assert vals.flags.writeable
+
+    def test_pickle_round_trip(self, demo5):
+        again = pickle.loads(pickle.dumps(demo5))
+        assert again == demo5 and again.name == "demo5"
+        assert again.coefficients == demo5.coefficients
+        assert not again.vals.flags.writeable
 
     def test_from_dense_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -144,6 +248,12 @@ class TestParse:
     def test_agreeing_duplicate_accepted(self):
         inst = parse_instance("2 2\n1 2 4\n2 1 4\n")
         assert inst.coefficients == {(0, 1): 4.0}
+
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, word):
+        with pytest.raises(ParseError) as err:
+            parse_instance(f"2 2\n1 1 1\n1 2 {word}\n")
+        assert err.value.line == 3
 
     def test_missing_entries_rejected(self):
         with pytest.raises(ParseError):

@@ -104,6 +104,21 @@ class TestSolveExact:
             assert bnb.status == PROVEN_OPTIMAL
             assert evaluate(inst, bnb.solution.bits) == bnb.solution.value
 
+    def test_leaf_float_near_tie_takes_the_earlier_binary_index(self):
+        # x3 is recessive and fixed at the root, leaving one 3-variable leaf
+        # (enum_threshold 3 < n).  In binary order (1,0,0) scores 0.3 at
+        # index 1 and (0,1,1) scores 0.1 + 0.2 = 0.30000000000000004 at
+        # index 6; the leaf keeps the earlier one, as enumeration would
+        coeffs = {(0, 0): 0.3, (0, 1): -1.0, (0, 2): -1.0, (1, 1): 0.1, (2, 2): 0.2, (3, 3): -5.0}
+        config = SolverConfig(time_budget=None, enum_threshold=3)
+        out = solve_exact(QuboInstance(4, coeffs), config)
+        assert out.status == PROVEN_OPTIMAL
+        assert out.solution.bits == (1, 0, 0, 0)
+        assert out.solution.value == 0.3
+        m = QuboInstance(3, {k: v for k, v in coeffs.items() if k != (3, 3)}).to_dense()
+        value, bits = solver._submatrix_max(m)
+        assert (value, bits.tolist()) == (0.3, [1, 0, 0])
+
     def test_budget_exhaustion_is_a_status(self):
         rng = np.random.default_rng(9)
         inst = random_instance(rng, 34, 0.8)
