@@ -131,14 +131,20 @@ def build_design(k: int, d: int) -> DesignMatrix:
     return DesignMatrix(k=k, d=d, levels=h[:, 1 : d + 1])
 
 
-def _support_index(gen: ScenarioGenerators, positions: np.ndarray) -> np.ndarray:
-    """Support index of each position (a 2 x m array of i and j), -1 where absent."""
+def _support_index(gen: ScenarioGenerators, rows, cols, what: str) -> np.ndarray:
+    """Support index of each position (rows[t], cols[t]).
+
+    A position off the support raises ValueError, naming it after ``what``.
+    """
     key = gen.rows * gen.n + gen.cols
-    want = positions[0] * gen.n + positions[1]
+    want = np.asarray(rows, dtype=np.int64) * gen.n + np.asarray(cols, dtype=np.int64)
     at = np.searchsorted(key, want)
     hit = at < key.size
     hit[hit] = key[at[hit]] == want[hit]
-    return np.where(hit, at, -1)
+    if not hit.all():
+        t = int(np.argmin(hit))
+        raise ValueError(f"{what} ({int(rows[t])}, {int(cols[t])}) unknown to the generators")
+    return at
 
 
 def _scenarios(gen: ScenarioGenerators, values: np.ndarray) -> list[QuboInstance]:
@@ -152,9 +158,8 @@ def _run_values(gen: ScenarioGenerators, diff: DifferenceSet, levels: np.ndarray
     Row r of the 2-D ``levels`` sets the positions of ``diff`` in order;
     every other position keeps level_a.
     """
-    where = _support_index(gen, np.array(diff.positions, dtype=np.int64).reshape(-1, 2).T)
-    if np.any(where < 0):
-        raise ValueError("difference set names a position the generators do not have")
+    i, j = np.array(diff.positions, dtype=np.int64).reshape(-1, 2).T
+    where = _support_index(gen, i, j, "differing position")
     levels = np.asarray(levels)
     values = np.tile(gen.a, (len(levels), 1))
     values[:, where] = np.where(levels > 0, gen.a[where], gen.b[where])

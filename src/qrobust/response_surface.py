@@ -86,15 +86,9 @@ def code_scenario(
     """
     if instance.n != gen.n:
         raise ValueError(f"instance has n={instance.n}, generators n={gen.n}")
-    at_diff = _support_index(gen, np.array(diff.positions, dtype=np.int64).reshape(-1, 2).T)
-    if np.any(at_diff < 0):
-        missing = diff.positions[int(np.argmax(at_diff < 0))]
-        raise ValueError(f"differing position {missing} unknown to the generators")
-    at = _support_index(gen, np.array([instance.rows, instance.cols]))
-    if np.any(at < 0):
-        t = int(np.argmax(at < 0))
-        pos = (int(instance.rows[t]), int(instance.cols[t]))
-        raise ValueError(f"instance has a coefficient at {pos} unknown to the generators")
+    i, j = np.array(diff.positions, dtype=np.int64).reshape(-1, 2).T
+    at_diff = _support_index(gen, i, j, "differing position")
+    at = _support_index(gen, instance.rows, instance.cols, "instance has a coefficient at")
     q = np.zeros(gen.a.size)
     q[at] = instance.vals
     fixed = np.ones(gen.a.size, dtype=bool)

@@ -76,6 +76,17 @@ class TestCodeScenario:
             code_scenario(business_gen, diff, QuboInstance(9, coeffs))
 
 
+    def test_positions_off_the_generator_support_rejected(self, business_gen):
+        diff = differing_elements(business_gen)
+        coeffs = dict(average_instance(business_gen).coefficients)
+        coeffs[(4, 5)] = 1.0
+        with pytest.raises(ValueError, match=r"\(4, 5\) unknown"):
+            code_scenario(business_gen, diff, QuboInstance(9, coeffs))
+        outside = DifferenceSet(positions=((0, 0), (4, 5)))
+        with pytest.raises(ValueError, match=r"\(4, 5\) unknown"):
+            code_scenario(business_gen, outside, average_instance(business_gen))
+
+
 class TestFitModel:
     def test_exact_linear_recovery(self):
         design = build_design(8, 2)
