@@ -26,12 +26,7 @@ from .design import (
     perturbed_generators,
     run_count,
 )
-from .pipeline import (
-    report_to_json,
-    results_to_csv,
-    run_robust_analysis,
-    scenario_instances,
-)
+from .pipeline import report_to_json, results_to_csv, run_robust_analysis
 from .preprocess import fix_variables, sensitivity_report
 from .qubo import ParseError, format_number, parse_instance
 from .response_surface import (
@@ -226,13 +221,13 @@ def _fit_from_args(args, gen, config):
         return fit_model(design, _scenario_optima(_read_text(args.scenarios)), diff)
     if args.design is not None or args.scenarios is not None:
         raise ValueError("--design and --scenarios must be given together")
-    _diff, _k, design, _instances = scenario_instances(gen)
-    if design is None:
+    if diff.d == 0:
         raise ValueError(
             "regression needs k - d - 1 >= 1 residual degrees of freedom, got k=1, d=0"
         )
     _report, results = run_robust_analysis(gen, config)
     _require_optima(results)
+    design = build_design(run_count(diff.d), diff.d)
     return fit_model(design, [r.value for r in results], diff)
 
 
@@ -303,7 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.add_argument("--scenarios", help="write per-scenario results CSV here")
     p.add_argument("--reference", choices=["average"])
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for scenarios solved one by one (above --enum-threshold "
+        "or in heuristic mode); an enumerated analysis is one in-process sweep",
+    )
     _add_solver_flags(p)
     p.set_defaults(func=cmd_analyze)
 

@@ -1,10 +1,10 @@
 """The scenario loop: instantiate every design run, solve it, pool the optima.
 
-Enumerable scenarios share one support, so they are solved together by one
-batched enumeration sweep.  Larger scenarios are independent solves that
-parallelize over processes; results are re-sorted by scenario index before
-pooling, which makes reports identical regardless of worker count or
-completion order.
+``_solve_scenarios`` is the one place a set of scenarios is dispatched to
+the solver; the analysis here and the bound check of
+``qrobust.response_surface`` both go through it.  It returns outcomes in
+scenario order, and a scenario's outcome does not depend on its batch
+mates or the worker count, so reports are identical for every ``jobs``.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .solver import (
     MODE_HEURISTIC,
     PROVEN_OPTIMAL,
     BinarySolution,
+    SolveOutcome,
     SolverConfig,
     _tie_tolerance,
     solve,
@@ -83,9 +84,26 @@ def scenario_instances(
     return diff, k, design, _scenarios(gen, _run_values(gen, diff, levels))
 
 
-def _scenario_task(args) -> tuple[int, object]:
-    index, instance, config = args
-    return index, solve(instance, config)
+def _solve_scenarios(
+    instances: Sequence[QuboInstance], config: SolverConfig, jobs: int = 1
+) -> list[SolveOutcome]:
+    """Solve scenarios of one size; outcome i belongs to ``instances[i]``.
+
+    Enumerable scenarios (mode exact or auto, n at most ``enum_threshold``)
+    get one ``solve_batch`` sweep in this process, and ``jobs`` is unused.
+    Otherwise scenario i gets ``solve`` with seed ``seed + i``, over
+    ``jobs`` worker processes when ``jobs`` and k both exceed 1.  Either way
+    it gets what a lone ``solve`` with seed ``seed + i`` returns (elapsed
+    time aside; a sweep pools the k budgets), however it was dispatched.
+    """
+    k = len(instances)
+    if config.mode != MODE_HEURISTIC and instances[0].n <= config.enum_threshold:
+        return solve_batch(instances, config)
+    configs = [replace(config, seed=(config.seed + i) % 2**64) for i in range(k)]
+    if jobs > 1 and k > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(solve, instances, configs, chunksize=max(1, k // (4 * jobs))))
+    return list(map(solve, instances, configs))
 
 
 def run_robust_analysis(
@@ -96,33 +114,15 @@ def run_robust_analysis(
 ) -> tuple[RobustnessReport, list[ScenarioResult]]:
     """Solve every scenario and pool the returned solutions by bitstring.
 
-    When every scenario is enumerated (mode exact or auto, n at most
-    ``enum_threshold``), one ``solve_batch`` call solves them all in this
-    process and ``jobs`` is not used.  Otherwise scenario i is solved on
-    its own with solver seed ``seed + i``, so runs are reproducible for any
-    worker count.  When ``reference`` bits are given, the report also
-    carries their value-match coverage over the scenarios.
+    Scenarios are dispatched by ``_solve_scenarios``, which says how
+    ``jobs`` and the solver seeds are used.  When ``reference`` bits are
+    given, the report also carries their value-match coverage over the
+    scenarios.
     """
     config = solver_config or SolverConfig()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     _diff, k, _design, instances = scenario_instances(gen)
-    if config.mode != MODE_HEURISTIC and gen.n <= config.enum_threshold:
-        # every scenario is enumerated: one shared sweep, in process
-        outcomes = list(enumerate(solve_batch(instances, config)))
-    else:
-        tasks = [
-            (i, instances[i], replace(config, seed=(config.seed + i) % 2**64))
-            for i in range(k)
-        ]
-        if jobs > 1 and k > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(
-                    pool.map(_scenario_task, tasks, chunksize=max(1, k // (4 * jobs)))
-                )
-        else:
-            outcomes = [_scenario_task(t) for t in tasks]
-        outcomes.sort(key=lambda pair: pair[0])
     results = [
         ScenarioResult(
             scenario_index=i,
@@ -130,7 +130,7 @@ def run_robust_analysis(
             status=out.status,
             value=out.solution.value,
         )
-        for i, out in outcomes
+        for i, out in enumerate(_solve_scenarios(instances, config, jobs))
     ]
 
     grouped: dict[str, list[float]] = {}

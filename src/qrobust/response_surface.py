@@ -4,12 +4,13 @@ Fitting the scenario optima against the +1/-1 design columns yields a
 regression that predicts the optimal objective of any matrix between the
 generator extremes in constant time; adding three residual standard errors
 turns the prediction into an empirical upper bound, compared here against
-the always-valid positive-element sum.
+the always-valid positive-element sum.  A bound check solves its random
+scenarios through the analysis's dispatcher, ``pipeline._solve_scenarios``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,8 +23,9 @@ from .design import (
     differing_elements,
     random_scenario,
 )
+from .pipeline import _solve_scenarios
 from .qubo import QuboInstance, format_number, positive_sum_bound
-from .solver import PROVEN_OPTIMAL, SolverConfig, solve_batch, solve_exact
+from .solver import MODE_EXACT, PROVEN_OPTIMAL, SolverConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,23 +185,20 @@ def compare_bounds(
     """Solve random interior scenarios exactly and tabulate both bounds.
 
     Scenario t draws with seed ``seed + t``.  All scenarios are drawn
-    first; when they are enumerable they are solved by one ``solve_batch``
-    sweep.  Rows are sorted by descending surface-bound gap; rows without
-    a proven optimum keep their bounds but are flagged and excluded from
-    gap statistics (as are zero optima, whose percentage gap is
-    undefined).
+    first, then solved by ``qrobust.pipeline._solve_scenarios`` in exact
+    mode whatever ``solver_config.mode`` says.  Rows are sorted by
+    descending surface-bound gap; rows without a proven optimum keep their
+    bounds but are flagged and excluded from gap statistics (as are zero
+    optima, whose percentage gap is undefined).
     """
     if count < 1:
         raise ValueError(f"scenario count must be >= 1, got {count}")
     diff = differing_elements(gen)
     if diff.positions != model.diff.positions:
         raise ValueError("model was fit against a different difference set")
-    config = solver_config or SolverConfig()
+    config = replace(solver_config or SolverConfig(), mode=MODE_EXACT)
     scenarios = [random_scenario(gen, (seed + t) % 2**64) for t in range(count)]
-    if gen.n <= config.enum_threshold:
-        outcomes = solve_batch(scenarios, config)
-    else:
-        outcomes = [solve_exact(inst, config) for inst in scenarios]
+    outcomes = _solve_scenarios(scenarios, config)
     rows = []
     for t, (inst, out) in enumerate(zip(scenarios, outcomes)):
         proven = out.status == PROVEN_OPTIMAL

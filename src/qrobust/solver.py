@@ -15,16 +15,18 @@ gives every instance's objective for a block of assignments at once.  A
 single ``solve_exact`` enumeration is a batch of one.
 
 Ties are settled by a rule that survives a reordered sum.  Let
-``tol = nnz * eps * sum|V|``, where ``V`` holds the instance's support
-values with off-diagonals doubled.  For any summation order a computed
-objective is within tol / 2 of its exact value, so assignments of equal
-exact value compute within tol of each other.  The kernel picks the
-earliest assignment in Gray-code order whose computed value is at least
-the computed maximum minus tol, and reports the value ``evaluate`` gives
-for it.  Exact ties therefore go to the earliest of them in Gray-code
-order however the sum was grouped.  Branch-and-bound leaves enumerate in
-binary order under the same rule, with ``V`` every element of the leaf's
-dense matrix.
+``tol = nnz * eps * sum|V|``, where ``V`` holds the instance's own nonzero
+support values with off-diagonals doubled, whatever shares its batch.  For
+any summation order a computed objective is within tol / 2 of its exact
+value, so assignments of equal exact value compute within tol of each
+other.  The kernel picks the earliest assignment in Gray-code order whose
+computed value is at least the computed maximum minus tol, and reports the
+value ``evaluate`` gives for it.  Exact ties therefore go to the earliest
+of them in Gray-code order however the sum was grouped.  Branch and bound
+applies the rule in binary order inside a leaf (``V`` the leaf's dense
+matrix), and between leaves keeps its incumbent unless a candidate
+computes more than the root matrix's tol above it, so a near-tie goes to
+the candidate found first.
 """
 
 from __future__ import annotations
@@ -116,9 +118,9 @@ def _tie_tolerance(terms: np.ndarray) -> np.ndarray:
 
     ``terms`` holds, one row each, the coefficients an objective adds up:
     an instance's support values with off-diagonals doubled (``_terms``),
-    or every element of a dense matrix.
+    or every element of a dense matrix.  Only a column's own nonzeros count.
     """
-    return len(terms) * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+    return np.count_nonzero(terms, axis=0) * np.finfo(float).eps * np.abs(terms).sum(axis=0)
 
 
 class _Sweep:
@@ -313,10 +315,13 @@ def _bnb(
     positive-element sum, and enumerates outright once few enough variables
     are left.  Branching picks the free variable with the largest rule
     slack magnitude, value-1 child first for nonnegative effective
-    diagonals.
+    diagonals.  A candidate replaces the incumbent only when it computes
+    more than the root's tie tolerance above it, and a node whose bound
+    cannot do that is pruned.
     """
     n = diag.size
     leaf_cap = min(enum_threshold, _LEAF_BITS)
+    tol = float(_tie_tolerance(np.concatenate([diag, off.reshape(-1)])))
     inc_val, inc_bits = _greedy_ascent(diag, off)
     state = {"val": inc_val, "bits": inc_bits.copy(), "nodes": 0, "closed": True}
     work = np.zeros(n, dtype=np.int8)
@@ -331,22 +336,17 @@ def _bnb(
             work[idx[positions]] = bits
         idx = idx[survivors]
         f = idx.size
-        if f == 0:
-            if val > state["val"]:
-                state["val"] = val
-                state["bits"] = work.copy()
-            return
         if f <= leaf_cap:
             m = o.copy()
             m[np.diag_indices(f)] = d
             sub_val, sub_bits = _submatrix_max(m)
-            if val + sub_val > state["val"]:
+            if val + sub_val > state["val"] + tol:
                 work[idx] = sub_bits
                 state["val"] = val + sub_val
                 state["bits"] = work.copy()
             return
         bound = val + float(np.maximum(d, 0.0).sum() + np.maximum(o, 0.0).sum())
-        if bound <= state["val"]:
+        if bound <= state["val"] + tol:
             return
         b = int(np.argmax(np.abs(slack)))
         keep = np.ones(f, dtype=bool)

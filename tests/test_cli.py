@@ -179,6 +179,16 @@ class TestAnalyzeCommand:
         assert code == 2
         assert "scenario 0 is budget_exhausted" in capsys.readouterr().err
 
+    def test_analyze_refuses_zero_jobs_before_solving(self, business_file, capsys, monkeypatch):
+        from qrobust import pipeline
+
+        calls = []
+        monkeypatch.setattr(pipeline, "solve", lambda *a, **kw: calls.append("solve"))
+        monkeypatch.setattr(pipeline, "solve_batch", lambda *a, **kw: calls.append("batch"))
+        assert main(["analyze", "--gen", business_file, "--jobs", "0"]) == 2
+        assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+        assert calls == []
+
 
 class TestFitAndBoundCommands:
     def test_fit_inline_and_from_artifacts_agree(self, business_file, tmp_path, capsys):

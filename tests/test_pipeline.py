@@ -1,5 +1,7 @@
 """Scenario loop, pooling, coverage and determinism."""
 
+from dataclasses import replace
+
 import pytest
 
 from qrobust import (
@@ -8,6 +10,7 @@ from qrobust import (
     evaluate,
     most_robust,
     run_robust_analysis,
+    solve,
 )
 from qrobust.pipeline import (
     PoolEntry,
@@ -52,17 +55,38 @@ def test_results_are_index_sorted(business_gen):
 
 
 def test_worker_count_does_not_change_the_report(business_gen):
-    serial, _ = run_robust_analysis(business_gen, EXACT, jobs=1)
-    parallel, _ = run_robust_analysis(business_gen, EXACT, jobs=4)
+    serial, serial_results = run_robust_analysis(business_gen, EXACT, jobs=1)
+    parallel, parallel_results = run_robust_analysis(business_gen, EXACT, jobs=4)
     assert report_to_json(serial) == report_to_json(parallel)
+    assert results_to_csv(serial_results) == results_to_csv(parallel_results)
 
 
 def test_worker_count_does_not_change_a_pooled_report(business_gen):
     # above the enumeration threshold each scenario is its own pool task
     config = SolverConfig(mode="exact", enum_threshold=5)
-    serial, _ = run_robust_analysis(business_gen, config, jobs=1)
-    parallel, _ = run_robust_analysis(business_gen, config, jobs=4)
+    serial, serial_results = run_robust_analysis(business_gen, config, jobs=1)
+    parallel, parallel_results = run_robust_analysis(business_gen, config, jobs=4)
     assert report_to_json(serial) == report_to_json(parallel)
+    assert results_to_csv(serial_results) == results_to_csv(parallel_results)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SolverConfig(mode="exact", time_budget=None),
+        SolverConfig(mode="exact", time_budget=None, enum_threshold=5),
+        SolverConfig(mode="heuristic", time_budget=None, restarts=2, seed=7),
+    ],
+    ids=["sweep", "branch-and-bound", "heuristic"],
+)
+def test_each_scenario_gets_its_lone_solve(business_gen, config):
+    # however scenarios are dispatched, scenario i's outcome is the one a
+    # lone solve with seed seed + i gives
+    _report, results = run_robust_analysis(business_gen, config)
+    _diff, _k, _design, instances = scenario_instances(business_gen)
+    for i, (res, inst) in enumerate(zip(results, instances)):
+        lone = solve(inst, replace(config, seed=config.seed + i))
+        assert (res.solution, res.status) == (lone.solution, lone.status)
 
 
 def test_enumerated_analysis_shares_one_budget(business_gen, monkeypatch):

@@ -223,6 +223,22 @@ class TestCompareBounds:
             assert r.g_bound >= r.optimum
             assert r.possum_bound >= r.optimum
 
+    def test_dispatch_does_not_change_the_csv(self, business_gen):
+        # one sweep, one branch-and-bound solve per scenario (n = 9 is above
+        # the threshold), and a heuristic --mode that the bound check
+        # overrides: every path proves the same optima
+        model = self.fit_business(business_gen)
+        configs = [
+            SolverConfig(),
+            SolverConfig(enum_threshold=5),
+            SolverConfig(mode="heuristic"),
+        ]
+        csvs = [
+            comparison_to_csv(compare_bounds(model, business_gen, 16, seed=4, solver_config=c))
+            for c in configs
+        ]
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0]
+
     def test_csv_shape(self, business_gen):
         model = self.fit_business(business_gen)
         comparison = compare_bounds(model, business_gen, 8, seed=5, solver_config=EXACT)

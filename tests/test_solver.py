@@ -119,6 +119,17 @@ class TestSolveExact:
         value, bits = solver._submatrix_max(m)
         assert (value, bits.tolist()) == (0.3, [1, 0, 0])
 
+    def test_branch_float_near_tie_keeps_the_first_incumbent(self):
+        # enumeration is off (enum_threshold 2 < n), so branch and bound
+        # searches.  The greedy start is (1,0,0) at 0.3; the x0 = 0 branch
+        # folds x1 and x2 to 1 with constant 0.1 + 0.2 = 0.30000000000000004,
+        # within the root's tie tolerance, so the incumbent stays
+        inst = QuboInstance(3, {(0, 0): 0.3, (1, 1): 0.1, (2, 2): 0.2, (0, 1): -1.0, (0, 2): -1.0})
+        out = solve_exact(inst, SolverConfig(time_budget=None, enum_threshold=2))
+        assert out.status == PROVEN_OPTIMAL
+        assert (out.solution.bitstring, out.solution.value) == ("100", 0.3)
+        assert out.solution == solve_exact(inst).solution
+
     def test_budget_exhaustion_is_a_status(self):
         rng = np.random.default_rng(9)
         inst = random_instance(rng, 34, 0.8)
@@ -198,6 +209,18 @@ class TestSolveBatch:
             assert out.solution.bits == (1, 0, 0)
             assert out.solution.value == 0.3
         assert bits_of(solve_batch([forward, reverse])) == [(1, 0, 0)] * 2
+
+    def test_batch_mates_do_not_change_a_pick(self):
+        # x1 leads x0 by 2e-14.  The tolerance counts the instance's own 3
+        # terms (about 7e-15), not the 78 of the batch's union support
+        # (about 2e-13), so the lead is no tie alone or batched
+        inst = QuboInstance(12, {(0, 0): 1.0, (1, 1): 1.0 + 2e-14, (0, 1): -4.0})
+        dense12 = QuboInstance(
+            12, {(i, j): 1.0 if i == j else -0.01 for i in range(12) for j in range(i, 12)}
+        )
+        alone = solve_exact(inst).solution
+        assert alone.bits[:2] == (0, 1) and alone.value == 1.00000000000002
+        assert solve_batch([inst, dense12])[0].solution == alone
 
     def test_near_tie_across_blocks(self, monkeypatch):
         # single variables score 1, 1 + 0.6 tol and 1 + 1.2 tol at Gray
