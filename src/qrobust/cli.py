@@ -164,6 +164,8 @@ def _require_optima(results) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     gen = _generators_from_args(args)
     config = _solver_config(args)
     diff = differing_elements(gen)
@@ -300,8 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", choices=["average"])
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for scenarios solved one by one (above --enum-threshold "
-        "or in heuristic mode); an enumerated analysis is one in-process sweep",
+        help="worker processes for scenarios above --enum-threshold or in heuristic mode, "
+        "each solving one contiguous slice of them; an enumerated analysis is one "
+        "in-process sweep",
     )
     _add_solver_flags(p)
     p.set_defaults(func=cmd_analyze)

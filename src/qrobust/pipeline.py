@@ -27,11 +27,14 @@ from .design import (
 )
 from .qubo import QuboInstance, _terms, evaluate, format_number
 from .solver import (
+    MODE_EXACT,
     MODE_HEURISTIC,
     PROVEN_OPTIMAL,
     BinarySolution,
     SolveOutcome,
     SolverConfig,
+    _bnb_batch,
+    _fall_back,
     _tie_tolerance,
     solve,
     solve_batch,
@@ -84,6 +87,10 @@ def scenario_instances(
     return diff, k, design, _scenarios(gen, _run_values(gen, diff, levels))
 
 
+def _seeded(config: SolverConfig, i: int) -> SolverConfig:
+    return replace(config, seed=(config.seed + i) % 2**64)
+
+
 def _solve_scenarios(
     instances: Sequence[QuboInstance], config: SolverConfig, jobs: int = 1
 ) -> list[SolveOutcome]:
@@ -91,19 +98,47 @@ def _solve_scenarios(
 
     Enumerable scenarios (mode exact or auto, n at most ``enum_threshold``)
     get one ``solve_batch`` sweep in this process, and ``jobs`` is unused.
-    Otherwise scenario i gets ``solve`` with seed ``seed + i``, over
-    ``jobs`` worker processes when ``jobs`` and k both exceed 1.  Either way
-    it gets what a lone ``solve`` with seed ``seed + i`` returns (elapsed
-    time aside; a sweep pools the k budgets), however it was dispatched.
+    Otherwise scenario i gets ``solve`` with seed ``seed + i``, in this
+    process when ``jobs`` or k is 1.  With ``jobs > 1`` the k scenarios are
+    cut into ``min(jobs, k)`` contiguous slices of near-equal size, one
+    pool task each, and ``_solve_slice`` solves a slice.  Either way
+    scenario i gets what a lone ``solve`` with seed ``seed + i`` returns,
+    however it was dispatched, except for elapsed time and budgets: a sweep
+    or a slice's branch and bound pools the budgets of its scenarios.
     """
     k = len(instances)
     if config.mode != MODE_HEURISTIC and instances[0].n <= config.enum_threshold:
         return solve_batch(instances, config)
-    configs = [replace(config, seed=(config.seed + i) % 2**64) for i in range(k)]
     if jobs > 1 and k > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(solve, instances, configs, chunksize=max(1, k // (4 * jobs))))
-    return list(map(solve, instances, configs))
+        parts = min(jobs, k)
+        cuts = [k * p // parts for p in range(parts + 1)]
+        slices = [instances[a:b] for a, b in zip(cuts, cuts[1:])]
+        with ProcessPoolExecutor(max_workers=parts) as pool:
+            done = pool.map(_solve_slice, slices, [config] * parts, cuts[:-1])
+            return [out for part in done for out in part]
+    return list(map(solve, instances, [_seeded(config, i) for i in range(k)]))
+
+
+def _solve_slice(
+    instances: Sequence[QuboInstance], config: SolverConfig, first: int
+) -> list[SolveOutcome]:
+    """One pool task: scenarios ``first``, ``first + 1``, ... above ``enum_threshold``.
+
+    Heuristic mode solves them one by one.  Exact and auto modes search
+    them all with one lockstep branch and bound (``solver._bnb_batch``),
+    which walks each scenario's own search; in auto mode a scenario it
+    leaves ``budget_exhausted`` then falls back to tabu search with seed
+    ``seed + i``, as ``solve`` does.
+    """
+    if config.mode == MODE_HEURISTIC:
+        return [solve(inst, _seeded(config, first + i)) for i, inst in enumerate(instances)]
+    outcomes = _bnb_batch(instances, config)
+    if config.mode == MODE_EXACT:
+        return outcomes
+    return [
+        _fall_back(inst, _seeded(config, first + i), out)
+        for i, (inst, out) in enumerate(zip(instances, outcomes))
+    ]
 
 
 def run_robust_analysis(

@@ -95,10 +95,14 @@ def _classify(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     """The fixing rule of the module docstring, for every variable at once.
 
     Returns the slack ``delta``, the forced ``bit`` (1, 0, or -1 for free)
-    and whether the fix is ``strict`` (holds in every optimum).
+    and whether the fix is ``strict`` (holds in every optimum).  The row
+    sums are taken as column sums of the symmetric ``o``, which numpy adds
+    up one row at a time, so each runs in ascending index order.  Skipping
+    zeros does not change such a sum, which lets ``solver._bnb_lockstep``
+    reproduce it bit for bit on a masked, padded matrix.
     """
-    neg = 2.0 * np.minimum(o, 0.0).sum(axis=1)
-    pos = 2.0 * np.maximum(o, 0.0).sum(axis=1)
+    neg = 2.0 * np.minimum(o, 0.0).sum(axis=0)
+    pos = 2.0 * np.maximum(o, 0.0).sum(axis=0)
     up = d + neg
     dn = d + pos
     one = (d > 0.0) & (up > 0.0)
@@ -116,14 +120,16 @@ def _fold_fixed(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Fold the variables with ``bit`` 0 or 1 out of (d, o) as ``reduce_instance`` does.
 
-    Returns the constant, the survivors' positions and their (d, o).
+    Returns the constant, the survivors' positions and their (d, o).  The
+    folded diagonals add column sums in ascending index order, as
+    ``_classify``'s sums do.
     """
     keep = (bit < 0).nonzero()[0]
     s1 = (bit == 1).nonzero()[0]
-    rows = o.take(keep, axis=0)
-    constant = float(d[s1].sum() + o.take(s1, axis=0).take(s1, axis=1).sum())
-    d = d[keep] + (2.0 * rows.take(s1, axis=1).sum(axis=1) if s1.size else 0.0)
-    return constant, keep, d, rows.take(keep, axis=1)
+    ones = o.take(s1, axis=0)
+    constant = float(d[s1].sum() + ones.take(s1, axis=1).sum())
+    d = d[keep] + (2.0 * ones.sum(axis=0)[keep] if s1.size else 0.0)
+    return constant, keep, d, o.take(keep, axis=0).take(keep, axis=1)
 
 
 def _fold(d: np.ndarray, o: np.ndarray, constant: float = 0.0) -> tuple:

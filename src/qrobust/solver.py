@@ -7,6 +7,13 @@ Three engines share one entry point:
   the positive-element sum of the free submatrix, for medium instances,
 * multi-start tabu search with 1-flip moves for everything larger.
 
+Branch and bound also has a batched form, ``_bnb_batch``, for many
+instances at once.  It keeps one search per instance and advances all of
+them together, one node of each per step, on padded arrays.  Each
+instance walks its own search, the one ``solve_exact`` walks for it alone:
+same nodes, same branching, same incumbent rule, same bits.  Batching only
+shares the numpy calls of a step, and the budget of the batch.
+
 Enumeration has one kernel, ``solve_batch``.  It scores a batch of
 instances of equal size in one sweep: the objective is linear in the
 coefficient values, so one table of pair products ``x_i x_j`` over the
@@ -31,6 +38,7 @@ the candidate found first.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -52,17 +60,15 @@ MODE_HEURISTIC = "heuristic"
 _BLOCK_ELEMENTS = 1 << 20
 # below this many free variables a branch-and-bound node is enumerated outright
 _LEAF_BITS = 12
+# element cap on the objectives of one block of leaves scored together
+_LEAF_ELEMENTS = 1 << 14
+# leaf bits read from a shared table; the others are folded into its coefficients
+_LEAF_LOW_BITS = 6
 
 
 def _bits(codes: np.ndarray, width: int) -> np.ndarray:
     """0/1 rows as floats: column c holds bit c of each code."""
     return ((codes[:, None] >> np.arange(width)) & 1).astype(np.float64)
-
-
-# every assignment of _LEAF_BITS variables in binary order, row t holding the
-# bits of t; a leaf with f free variables reads the top-left 2^f x f corner
-_LEAF_TABLE = _bits(np.arange(1 << _LEAF_BITS), _LEAF_BITS)
-_LEAF_TABLE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -260,19 +266,6 @@ def _earliest_within(sweep: _Sweep, block_max, s: int, thr: float, start: int, s
     return None
 
 
-def _submatrix_max(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Maximum of x^t m x over all assignments of a small dense matrix.
-
-    Ties follow the enumeration's rule in binary order: the earliest
-    assignment within the tie tolerance of the computed maximum wins.
-    """
-    f = m.shape[0]
-    x = _LEAF_TABLE[: 1 << f, :f]
-    vals = np.einsum("ij,ij->i", x @ m, x)
-    j = int(np.argmax(vals >= vals.max() - _tie_tolerance(m.reshape(-1))))
-    return float(vals[j]), x[j].astype(np.int8)
-
-
 def _objective(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> float:
     xf = x.astype(float)
     return float(diag @ xf + xf @ off @ xf)
@@ -306,8 +299,8 @@ def _bnb(
     off: np.ndarray,
     enum_threshold: int,
     deadline: float | None,
-) -> tuple[float, np.ndarray, int, bool]:
-    """Depth-first branch and bound.  Returns (value, bits, nodes, closed).
+) -> tuple[np.ndarray, int, bool]:
+    """Depth-first branch and bound.  Returns (bits, nodes, closed).
 
     Each node folds the branching decisions into effective diagonals, fixes
     whatever the fixing rule of ``qrobust.preprocess`` decides for the free
@@ -337,12 +330,10 @@ def _bnb(
         idx = idx[survivors]
         f = idx.size
         if f <= leaf_cap:
-            m = o.copy()
-            m[np.diag_indices(f)] = d
-            sub_val, sub_bits = _submatrix_max(m)
-            if val + sub_val > state["val"] + tol:
-                work[idx] = sub_bits
-                state["val"] = val + sub_val
+            sub_val, pick = _leaf_max(d[None], o[None])
+            if val + sub_val[0] > state["val"] + tol:
+                work[idx] = (pick[0] >> np.arange(f)) & 1
+                state["val"] = val + sub_val[0]
                 state["bits"] = work.copy()
             return
         bound = val + float(np.maximum(d, 0.0).sum() + np.maximum(o, 0.0).sum())
@@ -364,7 +355,259 @@ def _bnb(
                 rec(idx2, d_off, o2, val)
 
     rec(np.arange(n), diag.astype(float), off, 0.0)
-    return state["val"], state["bits"], state["nodes"], state["closed"]
+    return state["bits"], state["nodes"], state["closed"]
+
+
+@functools.lru_cache(maxsize=None)
+def _leaf_tables(width: int) -> tuple:
+    """Tables that score every assignment of ``width`` leaf variables.
+
+    Assignment t (bit j of t for local variable j, so t runs in binary
+    order) splits into its low ``low`` bits and its high bits h.  For fixed
+    h the objective is linear in the low bits and their pair products, so
+    it is row r of ``table`` (columns: the low bits, their pair products
+    (i, j) for i < j, then a one) dotted with coefficients folded from h.
+    Returns (low, i, j, table transposed, high bits of each h).
+    """
+    low = min(width, _LEAF_LOW_BITS)
+    x = _bits(np.arange(1 << low), low)
+    i, j = np.triu_indices(low, 1)
+    table = np.hstack([x, x[:, i] * x[:, j], np.ones((1 << low, 1))]).T.copy()
+    return low, i, j, table, _bits(np.arange(1 << (width - low)), width - low)
+
+
+def _leaf_max(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum of x^t m x over every assignment of each leaf of a stack.
+
+    Leaf s is the small dense matrix with diagonal ``d[s]`` and
+    off-diagonal part ``o[s]`` (symmetric, zero diagonal); ``d`` is
+    (a, width).  Ties follow the enumeration's rule in binary order: the
+    earliest assignment within the tie tolerance of the leaf's matrix of the
+    computed maximum wins.  A leaf with fewer variables is padded with zero
+    rows at the end; a padded assignment scores what its unpadded prefix
+    scores and comes later in binary order, so the pick is unchanged.
+    Leaves are scored a block at a time, so one product holds at most about
+    ``_LEAF_ELEMENTS`` objectives.  Returns each leaf's value and its
+    assignment as a binary index.
+    """
+    a, width = d.shape
+    low, i, j, table, high = _leaf_tables(width)
+    blocks = high.shape[0]
+    tol = _tie_tolerance(np.concatenate([d, o.reshape(a, -1)], axis=1).T)
+    values = np.empty(a)
+    picks = np.empty(a, dtype=np.int64)
+    step = max(1, _LEAF_ELEMENTS >> width)
+    for lo in range(0, a, step):
+        sl = slice(lo, lo + step)
+        dd, oo = d[sl], o[sl]
+        c = dd.shape[0]
+        coef = np.empty((c, blocks, table.shape[0]))
+        coef[:, :, :low] = dd[:, None, :low] + 2.0 * (high @ oo[:, low:, :low])
+        coef[:, :, low:-1] = 2.0 * oo[:, i, j][:, None, :]
+        quad = ((high @ oo[:, low:, low:]) * high).sum(-1)
+        coef[:, :, -1] = (high @ dd[:, low:, None])[:, :, 0] + quad
+        vals = (coef.reshape(c * blocks, -1) @ table).reshape(c, -1)
+        best = vals.max(axis=1)
+        t = (vals >= (best - tol[sl])[:, None]).argmax(axis=1)
+        picks[sl] = t
+        values[sl] = vals[np.arange(c), t]
+    return values, picks
+
+
+class _Searches:
+    """The branch-and-bound searches ``_bnb_lockstep`` advances, one row each.
+
+    A search's root off-diagonal part ``off`` is stored once and never
+    copied per node; when roots hold elements of both signs, its negative
+    and positive elements are stored apart as well, for ``_classify``'s
+    sums.  A node is its folded diagonals, the free positions of its root,
+    the bits fixed on its path and its constant, kept on its search's
+    stack.  A search also keeps its incumbent and its root's tie tolerance.
+    Searches are compacted to the first ``len(ids)`` rows as they finish;
+    rows past that are stale.
+    """
+
+    def __init__(self, roots: Sequence[QuboInstance], leaf_cap: int):
+        k = len(roots)
+        m = max(inst.n for inst in roots)
+        offs = [inst.vals[inst.rows != inst.cols] for inst in roots]
+        signs = [sign for sign in (-1.0, 1.0) if any((sign * v > 0.0).any() for v in offs)]
+        self.ids = np.arange(k)
+        self.nodes = np.zeros(k, dtype=np.int64)
+        self.closed = np.ones(k, dtype=bool)
+        self.tol = np.empty(k)
+        self.inc_val = np.empty(k)
+        self.inc_bits = np.zeros((k, m), dtype=np.int8)
+        self.off = np.zeros((k, m, m))
+        # the elements of each sign present; stored apart only when both are
+        self.parts = {sign: self.off for sign in signs}
+        if len(signs) == 2:
+            self.parts = {sign: np.zeros((k, m, m)) for sign in signs}
+        depth = max(m - leaf_cap, 0) + 1  # one more than the branchings on a path
+        self.stack_d = np.zeros((k, depth, m))
+        self.stack_free = np.zeros((k, depth, m), dtype=bool)
+        self.stack_x = np.zeros((k, depth, m), dtype=np.int8)
+        self.stack_val = np.zeros((k, depth))
+        self.top = np.ones(k, dtype=np.int64)  # stack sizes
+        for s, inst in enumerate(roots):
+            diag, off = _split(inst)
+            f = diag.size
+            self.tol[s] = _tie_tolerance(np.concatenate([diag, off.reshape(-1)]))
+            self.inc_val[s], self.inc_bits[s, :f] = _greedy_ascent(diag, off)
+            self.off[s, :f, :f] = off
+            for sign, part in self.parts.items():
+                if part is not self.off:
+                    clip = np.minimum if sign < 0.0 else np.maximum
+                    clip(off, 0.0, out=part[s, :f, :f])
+            self.stack_d[s, 0, :f] = diag
+            self.stack_free[s, 0, :f] = True
+
+    def compact(self) -> int:
+        """Move the searches with a pending node to the first rows; return their count."""
+        live = np.flatnonzero(self.top[: self.ids.size])
+        if live.size < self.ids.size:
+            parts = [part for part in self.parts.values() if part is not self.off]
+            arrays = [self.off, *parts, self.stack_d, self.stack_free, self.stack_x,
+                      self.stack_val, self.top]
+            for row, old in enumerate(live.tolist()):
+                if row != old:
+                    for arr in arrays:
+                        arr[row] = arr[old]
+            self.ids = self.ids[live]
+        return live.size
+
+    @staticmethod
+    def column_sums(part: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        """Sums over the rows of ``part`` that ``mask`` selects, in ascending row order.
+
+        Rows are added one at a time (the sum does not run along the fast
+        axis), and a masked row is skipped, so each sum equals the sum
+        ``_classify`` and ``_fold_fixed`` take over the compacted matrix.
+        """
+        return np.add.reduce(part[: mask.shape[0]], axis=1, where=mask[:, :, None])
+
+    def sign_sums(self, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_classify``'s doubled negative and positive row sums over the free columns."""
+        sums = {sign: 2.0 * self.column_sums(part, free) for sign, part in self.parts.items()}
+        zero = np.zeros(free.shape)
+        return sums.get(-1.0, zero), sums.get(1.0, zero)
+
+    def fold(self, d, free, x, val) -> tuple:
+        """``_fold`` of every row's node, one round for all rows at a time.
+
+        Updates ``x`` in place and returns the folded (d, free, val) with
+        the last round's (up, dn, pos), which fixed nothing.
+        """
+        while True:
+            neg, pos = self.sign_sums(free)
+            up = d + neg
+            dn = d + pos
+            one = free & (d > 0.0) & (up > 0.0)
+            zero = free & (d < 0.0) & (dn < 0.0)
+            flat = free & (d == 0.0)
+            if flat.any():
+                one |= flat & (neg == 0.0) & (pos > 0.0)
+                zero |= flat & (pos == 0.0) & (neg < 0.0)
+            fixed = one | zero
+            if not fixed.any():
+                return d, free, val, up, dn, pos
+            s1 = one.astype(float)
+            col = self.column_sums(self.off, one)
+            val = val + ((d * s1).sum(axis=1) + (col * s1).sum(axis=1))
+            d = d + 2.0 * col
+            x[one] = 1
+            free = free & ~fixed
+
+    def leaves(self, at: np.ndarray, d, free, x, val) -> None:
+        """Score the leaves at rows ``at`` and take each one that beats its incumbent."""
+        size = free[at].sum(axis=1)
+        width = int(size.max())
+        # each leaf's free positions first, in ascending order
+        where = np.argsort(~free[at], axis=1, kind="stable")[:, :width]
+        valid = np.arange(width) < size[:, None]
+        leaf_d = np.where(valid, np.take_along_axis(d[at], where, axis=1), 0.0)
+        leaf_o = self.off[at[:, None, None], where[:, :, None], where[:, None, :]]
+        leaf_o *= valid[:, :, None] & valid[:, None, :]
+        sub_val, pick = _leaf_max(leaf_d, leaf_o)
+        who = self.ids[at]
+        better = val[at] + sub_val > self.inc_val[who] + self.tol[who]
+        if better.any():
+            at, who, where, valid = at[better], who[better], where[better], valid[better]
+            self.inc_val[who] = val[at] + sub_val[better]
+            bits = x[at]
+            local = (pick[better, None] >> np.arange(width)) & 1
+            kept = np.take_along_axis(bits, where, axis=1)
+            np.put_along_axis(bits, where, np.where(valid, local, kept), axis=1)
+            self.inc_bits[who] = bits
+
+    def branch(self, at: np.ndarray, d, free, x, val, up, dn) -> None:
+        """Push the two children of the nodes at rows ``at``, the first child on top."""
+        d, free, x, val = d[at], free[at], x[at], val[at]
+        slack = np.where(d >= 0.0, up[at], dn[at])
+        b = np.argmax(np.where(free, np.abs(slack), -1.0), axis=1)
+        line = np.arange(at.size)
+        db = d[line, b]
+        d_on = d + 2.0 * self.off[at, b]
+        free[line, b] = False
+        x_on = x.copy()
+        x_on[line, b] = 1
+        on_first = db >= 0.0
+        top = self.top[at]
+        for slot, on in ((top, ~on_first), (top + 1, on_first)):
+            self.stack_d[at, slot] = np.where(on[:, None], d_on, d)
+            self.stack_x[at, slot] = np.where(on[:, None], x_on, x)
+            self.stack_free[at, slot] = free
+            self.stack_val[at, slot] = np.where(on, val + db, val)
+        self.top[at] += 2
+
+
+def _bnb_lockstep(
+    roots: Sequence[QuboInstance], enum_threshold: int, deadline: float | None
+) -> list[tuple[np.ndarray, int, bool]]:
+    """``_bnb`` of the ``_split`` of every root, all searches advanced together.
+
+    Each search walks exactly the depth-first search ``_bnb`` walks: the
+    same greedy incumbent, fold, bound, branching variable, child order
+    and incumbent rule, so it visits the same nodes and ends with the same
+    bits.  One loop step pops the current node of every unfinished search,
+    folds all of them with one batched product per fixing round, scores
+    every leaf reached in the step with ``_leaf_max`` and pushes the
+    children of every other node its bound keeps.  A leaf whose bound
+    cannot beat the incumbent is still a node but is not scored: its
+    candidate is at most its bound, so it could not replace the incumbent.
+    Sums run in another order than in ``_bnb``; on integer data they are
+    exact, and on float data the tie tolerances absorb the difference
+    except at a rounding-level tie with a threshold.  Returns (bits, nodes,
+    closed) per root.
+    """
+    leaf_cap = min(enum_threshold, _LEAF_BITS)
+    st = _Searches(roots, leaf_cap)
+    while r := st.compact():
+        if deadline is not None and time.perf_counter() > deadline:
+            # every pending node counts once and returns, as in _bnb
+            st.nodes[st.ids] += st.top[:r]
+            st.closed[st.ids] = False
+            break
+        st.top[:r] -= 1
+        at = (np.arange(r), st.top[:r])
+        d, free, val = st.stack_d[at], st.stack_free[at], st.stack_val[at]
+        x = st.stack_x[at]
+        st.nodes[st.ids] += 1
+        d, free, val, up, dn, pos = st.fold(d, free, x, val)
+        positive = np.where(free, np.maximum(d, 0.0), 0.0).sum(axis=1)
+        bound = val + (positive + 0.5 * np.where(free, pos, 0.0).sum(axis=1))
+        keep = bound > st.inc_val[st.ids] + st.tol[st.ids]
+        leaf = free.sum(axis=1) <= leaf_cap
+        # a leaf's candidate is at most its bound, so a leaf the bound
+        # prunes could not replace the incumbent and is not scored
+        if (leaf & keep).any():
+            st.leaves(np.flatnonzero(leaf & keep), d, free, x, val)
+        if (keep & ~leaf).any():
+            st.branch(np.flatnonzero(keep & ~leaf), d, free, x, val, up, dn)
+    return [
+        (st.inc_bits[s, : inst.n], int(st.nodes[s]), bool(st.closed[s]))
+        for s, inst in enumerate(roots)
+    ]
 
 
 def _finish(
@@ -389,16 +632,46 @@ def solve_exact(instance: QuboInstance, config: SolverConfig | None = None) -> S
     config = config or SolverConfig()
     if instance.n <= config.enum_threshold:
         return solve_batch([instance], config)[0]
+
+    def search(roots, *args):
+        return [_bnb(*_split(roots[0]), *args)]
+
+    return _branch_and_bound([instance], config, search)[0]
+
+
+def _bnb_batch(instances: Sequence[QuboInstance], config: SolverConfig) -> list[SolveOutcome]:
+    """``solve_exact`` of instances above ``enum_threshold``, searched in lockstep.
+
+    Outcome i equals a lone ``solve_exact(instances[i], config)`` in bits,
+    value, status and node count when neither runs out of budget.  The
+    searches share ``len(instances) * time_budget`` seconds, as a sweep's
+    instances do; when that runs out, every unfinished search returns
+    ``budget_exhausted`` with its incumbent.
+    """
+    return _branch_and_bound(instances, config, _bnb_lockstep)
+
+
+def _branch_and_bound(instances, config: SolverConfig, search) -> list[SolveOutcome]:
+    """Fix each instance's variables, then ``search`` the roots that remain.
+
+    ``search(roots, enum_threshold, deadline)`` takes every reduced instance
+    with variables left and returns (bits, nodes, closed) for each.  An
+    instance that fixing empties is proven at one node.  The instances share
+    ``len(instances) * time_budget`` seconds from the start.
+    """
     t0 = time.perf_counter()
-    deadline = t0 + config.time_budget if config.time_budget is not None else None
-    rep = fix_variables(instance)
-    if rep.reduced.n == 0:
-        bits = merge_assignment(instance.n, rep.assignments, rep.index_map, ())
-        return _finish(instance, bits, PROVEN_OPTIMAL, 1, t0)
-    diag, off = _split(rep.reduced)
-    _val, sub_bits, nodes, closed = _bnb(diag, off, config.enum_threshold, deadline)
-    bits = merge_assignment(instance.n, rep.assignments, rep.index_map, sub_bits)
-    return _finish(instance, bits, PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED, nodes, t0)
+    budget = config.time_budget
+    deadline = t0 + len(instances) * budget if budget is not None else None
+    reps = [fix_variables(inst) for inst in instances]
+    roots = [rep.reduced for rep in reps if rep.reduced.n]
+    found = iter(search(roots, config.enum_threshold, deadline) if roots else ())
+    outcomes = []
+    for inst, rep in zip(instances, reps):
+        sub_bits, nodes, closed = next(found) if rep.reduced.n else ((), 1, True)
+        bits = merge_assignment(inst.n, rep.assignments, rep.index_map, sub_bits)
+        status = PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED
+        outcomes.append(_finish(inst, bits, status, nodes, t0))
+    return outcomes
 
 
 def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:
@@ -490,8 +763,16 @@ def solve(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOu
         return solve_heuristic(instance, config)
     if instance.n <= config.enum_threshold:
         return solve_exact(instance, config)
-    t0 = time.perf_counter()
-    exact = solve_exact(instance, config)
+    return _fall_back(instance, config, solve_exact(instance, config))
+
+
+def _fall_back(instance: QuboInstance, config: SolverConfig, exact: SolveOutcome) -> SolveOutcome:
+    """Auto mode's outcome after an exact attempt above ``enum_threshold``.
+
+    A proven optimum stands.  Otherwise tabu search runs too, the better
+    solution wins (the exact incumbent on a tie), the status is
+    ``heuristic`` and the effort is the sum of both.
+    """
     if exact.status == PROVEN_OPTIMAL:
         return exact
     heur = solve_heuristic(instance, config)
@@ -500,5 +781,5 @@ def solve(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOu
         solution=winner.solution,
         status=HEURISTIC,
         nodes_or_iterations=exact.nodes_or_iterations + heur.nodes_or_iterations,
-        elapsed=time.perf_counter() - t0,
+        elapsed=exact.elapsed + heur.elapsed,
     )

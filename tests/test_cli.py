@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, reproducibility."""
 
 import json
+import re
 
 import pytest
 
@@ -169,6 +170,15 @@ class TestAnalyzeCommand:
         assert "most_robust=" not in captured.out
         assert not report.exists()
 
+    def test_analyze_refuses_an_exhausted_pooled_slice(self, business_file, capsys):
+        # each worker's slice runs out of its pooled budget at once
+        code = main(
+            ["analyze", "--gen", business_file, "--mode", "exact", "--jobs", "2",
+             "--enum-threshold", "5", "--budget", "1e-9"]
+        )
+        assert code == 2
+        assert re.search(r"scenario \d+ is budget_exhausted", capsys.readouterr().err)
+
     def test_analyze_refuses_an_exhausted_enumeration(self, business_file, capsys, monkeypatch):
         # a batched sweep runs out for every scenario at once; small blocks
         # make the deadline checked before the sweep ends
@@ -180,14 +190,17 @@ class TestAnalyzeCommand:
         assert "scenario 0 is budget_exhausted" in capsys.readouterr().err
 
     def test_analyze_refuses_zero_jobs_before_solving(self, business_file, capsys, monkeypatch):
-        from qrobust import pipeline
+        from qrobust import cli, pipeline
 
         calls = []
         monkeypatch.setattr(pipeline, "solve", lambda *a, **kw: calls.append("solve"))
         monkeypatch.setattr(pipeline, "solve_batch", lambda *a, **kw: calls.append("batch"))
-        assert main(["analyze", "--gen", business_file, "--jobs", "0"]) == 2
-        assert "jobs must be >= 1, got 0" in capsys.readouterr().err
-        assert calls == []
+        # the average reference is solved by the command itself
+        monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append("reference"))
+        for extra in ([], ["--reference", "average"]):
+            assert main(["analyze", "--gen", business_file, "--jobs", "0", *extra]) == 2
+            assert "jobs must be >= 1, got 0" in capsys.readouterr().err
+            assert calls == []
 
 
 class TestFitAndBoundCommands:

@@ -20,7 +20,7 @@ from qrobust.pipeline import (
     scenario_instances,
 )
 from qrobust import solver
-from qrobust.solver import BUDGET_EXHAUSTED, PROVEN_OPTIMAL, SolverConfig
+from qrobust.solver import BUDGET_EXHAUSTED, HEURISTIC, PROVEN_OPTIMAL, SolverConfig
 
 EXACT = SolverConfig(mode="exact")
 
@@ -62,7 +62,8 @@ def test_worker_count_does_not_change_the_report(business_gen):
 
 
 def test_worker_count_does_not_change_a_pooled_report(business_gen):
-    # above the enumeration threshold each scenario is its own pool task
+    # above the enumeration threshold each worker searches a slice of the
+    # scenarios in lockstep; at jobs=1 each gets its own solve
     config = SolverConfig(mode="exact", enum_threshold=5)
     serial, serial_results = run_robust_analysis(business_gen, config, jobs=1)
     parallel, parallel_results = run_robust_analysis(business_gen, config, jobs=4)
@@ -87,6 +88,53 @@ def test_each_scenario_gets_its_lone_solve(business_gen, config):
     for i, (res, inst) in enumerate(zip(results, instances)):
         lone = solve(inst, replace(config, seed=config.seed + i))
         assert (res.solution, res.status) == (lone.solution, lone.status)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        SolverConfig(mode="exact", time_budget=None, enum_threshold=5),
+        SolverConfig(mode="auto", time_budget=None, enum_threshold=5),
+        # the exact attempt runs out at once, so auto falls back to tabu
+        SolverConfig(mode="auto", time_budget=1e-9, enum_threshold=5, restarts=2, seed=3),
+        SolverConfig(mode="heuristic", time_budget=None, restarts=2, seed=7),
+    ],
+    ids=["exact", "auto", "auto-fallback", "heuristic"],
+)
+def test_pooled_slices_give_each_scenario_its_lone_solve(business_gen, config):
+    _report, results = run_robust_analysis(business_gen, config, jobs=2)
+    _diff, _k, _design, instances = scenario_instances(business_gen)
+    for i, (res, inst) in enumerate(zip(results, instances)):
+        lone = solve(inst, replace(config, seed=config.seed + i))
+        assert (res.solution, res.status) == (lone.solution, lone.status)
+    if config.time_budget is not None:
+        assert HEURISTIC in {r.status for r in results}
+
+
+def test_more_workers_than_scenarios(business_gen):
+    # two varying positions give k = 4 scenarios for 6 workers
+    entries = {key: (a, a) for key, (a, _b) in business_gen.entries.items()}
+    entries[(0, 0)] = (-5, 2)
+    entries[(3, 5)] = (7, 1)
+    gen = ScenarioGenerators(9, entries)
+    config = SolverConfig(mode="exact", time_budget=None, enum_threshold=5)
+    serial, serial_results = run_robust_analysis(gen, config, jobs=1)
+    parallel, parallel_results = run_robust_analysis(gen, config, jobs=6)
+    assert serial.k == 4
+    assert report_to_json(serial) == report_to_json(parallel)
+    assert results_to_csv(serial_results) == results_to_csv(parallel_results)
+
+
+def test_pooled_slices_share_their_budget(business_gen):
+    # each slice's budget ends before its search starts: a scenario that
+    # fixing does not empty is left at its root with its greedy incumbent
+    config = SolverConfig(mode="exact", time_budget=1e-9, enum_threshold=5)
+    _report, results = run_robust_analysis(business_gen, config, jobs=2)
+    _diff, _k, _design, instances = scenario_instances(business_gen)
+    assert BUDGET_EXHAUSTED in {r.status for r in results}
+    for res, inst in zip(results, instances):
+        assert res.status in (BUDGET_EXHAUSTED, PROVEN_OPTIMAL)
+        assert evaluate(inst, res.solution.bits) == res.value
 
 
 def test_enumerated_analysis_shares_one_budget(business_gen, monkeypatch):

@@ -116,8 +116,9 @@ class TestSolveExact:
         assert out.solution.bits == (1, 0, 0, 0)
         assert out.solution.value == 0.3
         m = QuboInstance(3, {k: v for k, v in coeffs.items() if k != (3, 3)}).to_dense()
-        value, bits = solver._submatrix_max(m)
-        assert (value, bits.tolist()) == (0.3, [1, 0, 0])
+        d = m.diagonal().copy()
+        values, picks = solver._leaf_max(d[None], (m - np.diag(d))[None])
+        assert (values[0], picks[0]) == (0.3, 1)  # binary index 1 is (1, 0, 0)
 
     def test_branch_float_near_tie_keeps_the_first_incumbent(self):
         # enumeration is off (enum_threshold 2 < n), so branch and bound
@@ -269,6 +270,93 @@ class TestSolveBatch:
         out = solve_exact(QuboInstance(0, {}))
         assert out.solution.bits == () and out.solution.value == 0.0
         assert out.status == PROVEN_OPTIMAL
+
+
+def uniform(rng) -> float:
+    return float(rng.uniform(-10.0, 10.0))
+
+
+def tenths(rng) -> float:
+    return float(rng.integers(-9, 10)) * 0.1
+
+
+def integers(rng) -> float:
+    return float(rng.integers(-9, 10))
+
+
+def float_generators(rng, n: int, density: float, d: int, draw) -> ScenarioGenerators:
+    """``density`` of the positions nonzero, values from ``draw(rng)``; d get a second level."""
+    iu, ju = np.triu_indices(n)
+    keep = [(int(i), int(j)) for i, j in zip(iu, ju) if rng.random() < density] or [(0, 0)]
+    vary = set(rng.choice(len(keep), size=min(d, len(keep)), replace=False).tolist())
+    entries = {}
+    for t, key in enumerate(keep):
+        a = draw(rng)
+        entries[key] = (a, draw(rng) if t in vary else a)
+    return ScenarioGenerators(n, entries)
+
+
+def effort(outcomes):
+    return [
+        (out.solution.bits, out.solution.value, out.status, out.nodes_or_iterations)
+        for out in outcomes
+    ]
+
+
+class TestBnbBatch:
+    # enumeration is off (enum_threshold 5 < n), so every scenario is searched
+    CONFIG = SolverConfig(mode="exact", time_budget=None, enum_threshold=5)
+
+    def lone(self, scenarios):
+        return effort(solve_exact(inst, self.CONFIG) for inst in scenarios)
+
+    def test_matches_lone_solves_on_float_generators(self):
+        rng = np.random.default_rng(31)
+        for t in range(24):
+            n = int(rng.integers(8, 19))
+            gen = float_generators(rng, n, (0.3, 0.6, 1.0)[t % 3], 3, uniform)
+            _diff, _k, _design, scenarios = scenario_instances(gen)
+            assert effort(solver._bnb_batch(scenarios, self.CONFIG)) == self.lone(scenarios)
+
+    def test_tenths_walk_the_same_search(self):
+        # tenths round, and equal slacks abound, so a branching variable or
+        # a fix flips unless every row sum runs in the order _bnb's runs in
+        rng = np.random.default_rng(32)
+        for t in range(24):
+            n = int(rng.integers(8, 16))
+            gen = float_generators(rng, n, (0.3, 0.6, 1.0)[t % 3], 3, tenths)
+            _diff, _k, _design, scenarios = scenario_instances(gen)
+            assert effort(solver._bnb_batch(scenarios, self.CONFIG)) == self.lone(scenarios)
+
+    def test_slice_size_does_not_change_an_outcome(self):
+        rng = np.random.default_rng(33)
+        gen = float_generators(rng, 14, 0.6, 9, uniform)
+        _diff, k, _design, scenarios = scenario_instances(gen)
+        assert k == 32  # not a multiple of 7
+        want = self.lone(scenarios)
+        for size in (1, 7, k):
+            got = [
+                out
+                for start in range(0, k, size)
+                for out in effort(solver._bnb_batch(scenarios[start : start + size], self.CONFIG))
+            ]
+            assert got == want
+
+    def test_budget_runs_out_for_every_unfinished_search(self):
+        # the batch's budget ends before its first step: every search is
+        # left at its root, while a scenario fixing empties is still proven
+        rng = np.random.default_rng(34)
+        gen = float_generators(rng, 12, 0.6, 5, integers)
+        _diff, _k, _design, scenarios = scenario_instances(gen)
+        scenarios = [*scenarios, QuboInstance(12, {(i, i): 1.0 for i in range(12)})]
+        config = SolverConfig(mode="exact", time_budget=1e-9, enum_threshold=5)
+        outcomes = solver._bnb_batch(scenarios, config)
+        assert outcomes[-1].status == PROVEN_OPTIMAL
+        assert outcomes[-1].solution.bits == (1,) * 12
+        assert {out.status for out in outcomes[:-1]} == {BUDGET_EXHAUSTED}
+        for inst, out in zip(scenarios, outcomes):
+            assert out.nodes_or_iterations == 1
+            assert evaluate(inst, out.solution.bits) == out.solution.value
 
 
 class TestSolveHeuristic:
