@@ -77,8 +77,9 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=float,
         default=10.0,
-        help="seconds per solve (an enumerated batch of k scenarios gets k times "
-        "this for its one sweep); <= 0 lifts the limit",
+        help="seconds per solve; <= 0 lifts the limit. Scenarios solved together "
+        "pool their budgets: an enumerated sweep of k scenarios, or an analyze "
+        "--jobs slice of k scenarios in exact or auto mode, gets k times this",
     )
     parser.add_argument("--restarts", type=int, default=10)
     parser.add_argument("--enum-threshold", type=int, default=22, dest="enum_threshold")

@@ -91,18 +91,28 @@ def _instance(d: np.ndarray, o: np.ndarray, name: str | None) -> QuboInstance:
     return QuboInstance(d.size, (rows, cols, q[rows, cols]), name=name)
 
 
-def _classify(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fixing rule of the module docstring, for every variable at once.
+def _sign_sums(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The doubled negative and positive row sums N and P of the module docstring.
 
-    Returns the slack ``delta``, the forced ``bit`` (1, 0, or -1 for free)
-    and whether the fix is ``strict`` (holds in every optimum).  The row
-    sums are taken as column sums of the symmetric ``o``, which numpy adds
+    They are taken as column sums of the symmetric ``o``, which numpy adds
     up one row at a time, so each runs in ascending index order.  Skipping
-    zeros does not change such a sum, which lets ``solver._bnb_lockstep``
+    zeros does not change such a sum, which lets ``solver._Searches``
     reproduce it bit for bit on a masked, padded matrix.
     """
-    neg = 2.0 * np.minimum(o, 0.0).sum(axis=0)
-    pos = 2.0 * np.maximum(o, 0.0).sum(axis=0)
+    return 2.0 * np.minimum(o, 0.0).sum(axis=0), 2.0 * np.maximum(o, 0.0).sum(axis=0)
+
+
+def _classify(
+    d: np.ndarray, neg: np.ndarray, pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixing rule of the module docstring, elementwise.
+
+    ``d`` holds diagonals and ``neg``/``pos`` the matching doubled negative
+    and positive row sums (``_sign_sums``), in arrays of any one shape.
+    Returns the slack ``delta``, the forced ``bit`` (1, 0, or -1 for free)
+    and whether the fix is ``strict`` (holds in every optimum).  This is
+    the only place the rule's comparisons are made.
+    """
     up = d + neg
     dn = d + pos
     one = (d > 0.0) & (up > 0.0)
@@ -122,7 +132,7 @@ def _fold_fixed(
 
     Returns the constant, the survivors' positions and their (d, o).  The
     folded diagonals add column sums in ascending index order, as
-    ``_classify``'s sums do.
+    ``_sign_sums`` does.
     """
     keep = (bit < 0).nonzero()[0]
     s1 = (bit == 1).nonzero()[0]
@@ -145,7 +155,7 @@ def _fold(d: np.ndarray, o: np.ndarray, constant: float = 0.0) -> tuple:
     survivors = np.arange(d.size)
     steps = []
     while True:
-        delta, bit, strict = _classify(d, o)
+        delta, bit, strict = _classify(d, *_sign_sums(o))
         fixed = bit >= 0
         if not fixed.any():
             return steps, constant, survivors, d, o, delta
@@ -166,7 +176,8 @@ def fix_slack(instance: QuboInstance, i: int) -> float:
     """
     if not (0 <= i < instance.n):
         raise ValueError(f"variable index {i} out of range for n={instance.n}")
-    return float(_classify(*_split(instance))[0][i])
+    d, o = _split(instance)
+    return float(_classify(d, *_sign_sums(o))[0][i])
 
 
 def pair_slack(instance: QuboInstance, i: int, j: int) -> float:
@@ -179,7 +190,8 @@ def pair_slack(instance: QuboInstance, i: int, j: int) -> float:
         raise ValueError("variable index out of range")
     if i == j:
         raise ValueError("pair slack requires two distinct variables")
-    delta, bit, strict = _classify(*_split(instance))
+    d, o = _split(instance)
+    delta, bit, strict = _classify(d, *_sign_sums(o))
     if bit[i] != 1 or not strict[i]:
         raise ValueError(f"variable {i} is not strictly dominant (slack {delta[i]})")
     return float(delta[i]) / 2.0
@@ -260,7 +272,7 @@ def sensitivity_report(instance: QuboInstance, near_tolerance: float = 0.0) -> S
     if near_tolerance < 0.0:
         raise ValueError(f"near tolerance must be >= 0, got {near_tolerance}")
     d, o = _split(instance)
-    delta, bit, _strict = _classify(d, o)
+    delta, bit, _strict = _classify(d, *_sign_sums(o))
     records = []
     for i, (diagonal, slack, b) in enumerate(zip(d.tolist(), delta.tolist(), bit.tolist())):
         fixable = FIX_ONE if b == 1 else FIX_ZERO if b == 0 else FIX_NONE

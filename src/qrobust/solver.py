@@ -7,19 +7,21 @@ Three engines share one entry point:
   the positive-element sum of the free submatrix, for medium instances,
 * multi-start tabu search with 1-flip moves for everything larger.
 
-Branch and bound also has a batched form, ``_bnb_batch``, for many
-instances at once.  It keeps one search per instance and advances all of
-them together, one node of each per step, on padded arrays.  Each
-instance walks its own search, the one ``solve_exact`` walks for it alone:
-same nodes, same branching, same incumbent rule, same bits.  Batching only
-shares the numpy calls of a step, and the budget of the batch.
+The exact engines each have one kernel that takes a batch of instances;
+a lone ``solve_exact`` is a batch of one.
+
+Branch and bound has one search, ``_bnb_lockstep``.  It keeps one search
+per instance and advances all of them together, one node of each per
+step, on padded arrays.  Each instance walks its own search, the one it
+walks alone: same nodes, same branching, same incumbent rule, same bits
+(up to the rounding ``_bnb_lockstep`` describes).  Batching only shares
+the numpy calls of a step, and the budget of the batch.
 
 Enumeration has one kernel, ``solve_batch``.  It scores a batch of
 instances of equal size in one sweep: the objective is linear in the
 coefficient values, so one table of pair products ``x_i x_j`` over the
 batch's union support times a value matrix (one column per instance)
-gives every instance's objective for a block of assignments at once.  A
-single ``solve_exact`` enumeration is a batch of one.
+gives every instance's objective for a block of assignments at once.
 
 Ties are settled by a rule that survives a reordered sum.  Let
 ``tol = nnz * eps * sum|V|``, where ``V`` holds the instance's own nonzero
@@ -45,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .preprocess import _classify, _fold, _split, fix_variables, merge_assignment
+from .preprocess import _classify, _sign_sums, _split, fix_variables, merge_assignment
 from .qubo import BinarySolution, QuboInstance, _sequential_sum, _terms, evaluate
 
 PROVEN_OPTIMAL = "proven_optimal"
@@ -99,6 +101,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveOutcome:
+    """One instance's solution, status and effort.
+
+    ``nodes_or_iterations`` counts enumerated assignments, branch-and-bound
+    nodes or tabu moves.  ``elapsed`` is the wall time in seconds of the
+    solve call that returned the outcome: a batched call (``solve_batch``,
+    ``_bnb_batch``) gives each of its outcomes the time of the whole call,
+    and auto mode's fallback adds the tabu time to the exact attempt's.
+    """
+
     solution: BinarySolution
     status: str
     nodes_or_iterations: int
@@ -242,11 +253,9 @@ def solve_batch(
             break
     scanned = blocks * rows
     status = PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED
-    outcomes = []
-    for inst, g in zip(instances, first.tolist()):
-        code = g ^ (g >> 1)
-        outcomes.append(_finish(inst, [(code >> v) & 1 for v in range(n)], status, scanned, t0))
-    return outcomes
+    codes = [g ^ (g >> 1) for g in first.tolist()]
+    bits = [[(c >> v) & 1 for v in range(n)] for c in codes]
+    return _finish([(inst, b, status, scanned) for inst, b in zip(instances, bits)], t0)
 
 
 def _earliest_within(sweep: _Sweep, block_max, s: int, thr: float, start: int, stop: int):
@@ -282,7 +291,7 @@ def _greedy_ascent(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray
     x = np.zeros(n, dtype=np.int8)
     if n == 0:
         return 0.0, x
-    _delta, bit, strict = _classify(diag, off)
+    _delta, bit, strict = _classify(diag, *_sign_sums(off))
     x[strict & (bit == 1)] = 1
     for _step in range(4 * n):
         s = diag + 2.0 * (off @ x.astype(float))
@@ -292,70 +301,6 @@ def _greedy_ascent(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray
             break
         x[i] = 1 - x[i]
     return _objective(diag, off, x), x
-
-
-def _bnb(
-    diag: np.ndarray,
-    off: np.ndarray,
-    enum_threshold: int,
-    deadline: float | None,
-) -> tuple[np.ndarray, int, bool]:
-    """Depth-first branch and bound.  Returns (bits, nodes, closed).
-
-    Each node folds the branching decisions into effective diagonals, fixes
-    whatever the fixing rule of ``qrobust.preprocess`` decides for the free
-    submatrix (to a fixpoint, via ``_fold``), bounds the remainder by its
-    positive-element sum, and enumerates outright once few enough variables
-    are left.  Branching picks the free variable with the largest rule
-    slack magnitude, value-1 child first for nonnegative effective
-    diagonals.  A candidate replaces the incumbent only when it computes
-    more than the root's tie tolerance above it, and a node whose bound
-    cannot do that is pruned.
-    """
-    n = diag.size
-    leaf_cap = min(enum_threshold, _LEAF_BITS)
-    tol = float(_tie_tolerance(np.concatenate([diag, off.reshape(-1)])))
-    inc_val, inc_bits = _greedy_ascent(diag, off)
-    state = {"val": inc_val, "bits": inc_bits.copy(), "nodes": 0, "closed": True}
-    work = np.zeros(n, dtype=np.int8)
-
-    def rec(idx: np.ndarray, d: np.ndarray, o: np.ndarray, val: float) -> None:
-        state["nodes"] += 1
-        if deadline is not None and time.perf_counter() > deadline:
-            state["closed"] = False
-            return
-        steps, val, survivors, d, o, slack = _fold(d, o, val)
-        for positions, bits, _strict, _deltas in steps:
-            work[idx[positions]] = bits
-        idx = idx[survivors]
-        f = idx.size
-        if f <= leaf_cap:
-            sub_val, pick = _leaf_max(d[None], o[None])
-            if val + sub_val[0] > state["val"] + tol:
-                work[idx] = (pick[0] >> np.arange(f)) & 1
-                state["val"] = val + sub_val[0]
-                state["bits"] = work.copy()
-            return
-        bound = val + float(np.maximum(d, 0.0).sum() + np.maximum(o, 0.0).sum())
-        if bound <= state["val"] + tol:
-            return
-        b = int(np.argmax(np.abs(slack)))
-        keep = np.ones(f, dtype=bool)
-        keep[b] = False
-        idx2 = idx[keep]
-        o2 = o[np.ix_(keep, keep)]
-        d_on = d[keep] + 2.0 * o[keep, b]
-        d_off = d[keep]
-        first = 1 if d[b] >= 0.0 else 0
-        for bit in (first, 1 - first):
-            work[idx[b]] = bit
-            if bit == 1:
-                rec(idx2, d_on, o2, val + float(d[b]))
-            else:
-                rec(idx2, d_off, o2, val)
-
-    rec(np.arange(n), diag.astype(float), off, 0.0)
-    return state["bits"], state["nodes"], state["closed"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -419,12 +364,12 @@ class _Searches:
 
     A search's root off-diagonal part ``off`` is stored once and never
     copied per node; when roots hold elements of both signs, its negative
-    and positive elements are stored apart as well, for ``_classify``'s
-    sums.  A node is its folded diagonals, the free positions of its root,
-    the bits fixed on its path and its constant, kept on its search's
-    stack.  A search also keeps its incumbent and its root's tie tolerance.
-    Searches are compacted to the first ``len(ids)`` rows as they finish;
-    rows past that are stale.
+    and positive elements are stored apart as well, for ``sign_sums``.  A
+    node is its folded diagonals, the free positions of its root, the bits
+    fixed on its path and its constant, kept on its search's stack.  A
+    search also keeps its incumbent and its root's tie tolerance.  Searches
+    are compacted to the first ``len(ids)`` rows as they finish; rows past
+    that are stale.
     """
 
     def __init__(self, roots: Sequence[QuboInstance], leaf_cap: int):
@@ -482,35 +427,31 @@ class _Searches:
 
         Rows are added one at a time (the sum does not run along the fast
         axis), and a masked row is skipped, so each sum equals the sum
-        ``_classify`` and ``_fold_fixed`` take over the compacted matrix.
+        ``_sign_sums`` and ``_fold_fixed`` take over the compacted matrix.
         """
         return np.add.reduce(part[: mask.shape[0]], axis=1, where=mask[:, :, None])
 
     def sign_sums(self, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_classify``'s doubled negative and positive row sums over the free columns."""
+        """``_sign_sums`` of every row's free submatrix, on the padded rows."""
         sums = {sign: 2.0 * self.column_sums(part, free) for sign, part in self.parts.items()}
         zero = np.zeros(free.shape)
         return sums.get(-1.0, zero), sums.get(1.0, zero)
 
     def fold(self, d, free, x, val) -> tuple:
-        """``_fold`` of every row's node, one round for all rows at a time.
+        """``preprocess._fold`` of every row's node, one round for all rows at a time.
 
+        Each round classifies the free variables with ``_classify``.
         Updates ``x`` in place and returns the folded (d, free, val) with
-        the last round's (up, dn, pos), which fixed nothing.
+        the slack and the positive row sums of the last round, which fixed
+        nothing.
         """
         while True:
             neg, pos = self.sign_sums(free)
-            up = d + neg
-            dn = d + pos
-            one = free & (d > 0.0) & (up > 0.0)
-            zero = free & (d < 0.0) & (dn < 0.0)
-            flat = free & (d == 0.0)
-            if flat.any():
-                one |= flat & (neg == 0.0) & (pos > 0.0)
-                zero |= flat & (pos == 0.0) & (neg < 0.0)
-            fixed = one | zero
+            delta, bit, _strict = _classify(d, neg, pos)
+            one = free & (bit == 1)
+            fixed = free & (bit >= 0)
             if not fixed.any():
-                return d, free, val, up, dn, pos
+                return d, free, val, delta, pos
             s1 = one.astype(float)
             col = self.column_sums(self.off, one)
             val = val + ((d * s1).sum(axis=1) + (col * s1).sum(axis=1))
@@ -540,11 +481,10 @@ class _Searches:
             np.put_along_axis(bits, where, np.where(valid, local, kept), axis=1)
             self.inc_bits[who] = bits
 
-    def branch(self, at: np.ndarray, d, free, x, val, up, dn) -> None:
+    def branch(self, at: np.ndarray, d, free, x, val, delta) -> None:
         """Push the two children of the nodes at rows ``at``, the first child on top."""
         d, free, x, val = d[at], free[at], x[at], val[at]
-        slack = np.where(d >= 0.0, up[at], dn[at])
-        b = np.argmax(np.where(free, np.abs(slack), -1.0), axis=1)
+        b = np.argmax(np.where(free, np.abs(delta[at]), -1.0), axis=1)
         line = np.arange(at.size)
         db = d[line, b]
         d_on = d + 2.0 * self.off[at, b]
@@ -564,27 +504,37 @@ class _Searches:
 def _bnb_lockstep(
     roots: Sequence[QuboInstance], enum_threshold: int, deadline: float | None
 ) -> list[tuple[np.ndarray, int, bool]]:
-    """``_bnb`` of the ``_split`` of every root, all searches advanced together.
+    """Depth-first branch and bound of the ``_split`` of every root, advanced together.
 
-    Each search walks exactly the depth-first search ``_bnb`` walks: the
-    same greedy incumbent, fold, bound, branching variable, child order
-    and incumbent rule, so it visits the same nodes and ends with the same
-    bits.  One loop step pops the current node of every unfinished search,
-    folds all of them with one batched product per fixing round, scores
-    every leaf reached in the step with ``_leaf_max`` and pushes the
-    children of every other node its bound keeps.  A leaf whose bound
-    cannot beat the incumbent is still a node but is not scored: its
-    candidate is at most its bound, so it could not replace the incumbent.
-    Sums run in another order than in ``_bnb``; on integer data they are
-    exact, and on float data the tie tolerances absorb the difference
-    except at a rounding-level tie with a threshold.  Returns (bits, nodes,
-    closed) per root.
+    A search starts from the ``_greedy_ascent`` incumbent.  Each node folds
+    the branching decisions into effective diagonals, fixes whatever
+    ``preprocess._classify`` decides for the free submatrix (to a fixpoint,
+    as ``preprocess._fold`` does), bounds the remainder by its
+    positive-element sum, and enumerates it outright with ``_leaf_max``
+    once ``min(enum_threshold, _LEAF_BITS)`` or fewer variables are left.
+    Branching picks the free variable with the largest slack magnitude
+    (the first on a tie), value-1 child first for a nonnegative effective
+    diagonal.  A candidate replaces the incumbent only when it computes
+    more than the root's tie tolerance above it, and a node whose bound
+    cannot do that is pruned.  A pruned leaf is still a node but is not
+    scored: its candidate is at most its bound.
+
+    One loop step pops the current node of every unfinished search, folds
+    all of them with one batched product per fixing round, scores every
+    leaf reached in the step with one ``_leaf_max`` call and pushes the
+    children of every other node its bound keeps.  Searches share nothing
+    but the deadline, so a root walks the same nodes whatever roots share
+    its batch; a lone ``solve_exact`` is a batch of one.  Row sums run as
+    ``_sign_sums`` runs them; the node constants and bounds add over the
+    batch's padded width, so on float data their rounding can depend on
+    the batch, which the tie tolerances absorb except at a rounding-level
+    tie with a threshold.  Returns (bits, nodes, closed) per root.
     """
     leaf_cap = min(enum_threshold, _LEAF_BITS)
     st = _Searches(roots, leaf_cap)
     while r := st.compact():
         if deadline is not None and time.perf_counter() > deadline:
-            # every pending node counts once and returns, as in _bnb
+            # every pending node counts once and returns
             st.nodes[st.ids] += st.top[:r]
             st.closed[st.ids] = False
             break
@@ -593,7 +543,7 @@ def _bnb_lockstep(
         d, free, val = st.stack_d[at], st.stack_free[at], st.stack_val[at]
         x = st.stack_x[at]
         st.nodes[st.ids] += 1
-        d, free, val, up, dn, pos = st.fold(d, free, x, val)
+        d, free, val, delta, pos = st.fold(d, free, x, val)
         positive = np.where(free, np.maximum(d, 0.0), 0.0).sum(axis=1)
         bound = val + (positive + 0.5 * np.where(free, pos, 0.0).sum(axis=1))
         keep = bound > st.inc_val[st.ids] + st.tol[st.ids]
@@ -603,75 +553,66 @@ def _bnb_lockstep(
         if (leaf & keep).any():
             st.leaves(np.flatnonzero(leaf & keep), d, free, x, val)
         if (keep & ~leaf).any():
-            st.branch(np.flatnonzero(keep & ~leaf), d, free, x, val, up, dn)
+            st.branch(np.flatnonzero(keep & ~leaf), d, free, x, val, delta)
     return [
         (st.inc_bits[s, : inst.n], int(st.nodes[s]), bool(st.closed[s]))
         for s, inst in enumerate(roots)
     ]
 
 
-def _finish(
-    instance: QuboInstance, bits, status: str, effort: int, t0: float
-) -> SolveOutcome:
-    bits_t = tuple(int(b) for b in bits)
-    value = evaluate(instance, bits_t)
-    return SolveOutcome(
-        solution=BinarySolution(bits=bits_t, value=value),
-        status=status,
-        nodes_or_iterations=effort,
-        elapsed=time.perf_counter() - t0,
-    )
+def _finish(rows, t0: float) -> list[SolveOutcome]:
+    """The outcomes of one solve call started at ``t0``.
+
+    ``rows`` holds one (instance, bits, status, effort) per outcome.  The
+    wall time is taken once, after every ``evaluate``, and every outcome
+    carries it.
+    """
+    solved = []
+    for instance, bits, status, effort in rows:
+        bits_t = tuple(int(b) for b in bits)
+        solved.append((BinarySolution(bits_t, evaluate(instance, bits_t)), status, effort))
+    elapsed = time.perf_counter() - t0
+    return [SolveOutcome(sol, status, effort, elapsed) for sol, status, effort in solved]
 
 
 def solve_exact(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:
     """Provably optimal solve: enumeration for small n, else preprocessing + branch and bound.
 
-    Budget exhaustion is reported through the status, never raised; the
-    incumbent found so far is returned.
+    Either way it is a batch of one: ``solve_batch`` up to
+    ``enum_threshold``, ``_bnb_batch`` above.  Budget exhaustion is
+    reported through the status, never raised; the incumbent found so far
+    is returned.
     """
     config = config or SolverConfig()
     if instance.n <= config.enum_threshold:
         return solve_batch([instance], config)[0]
-
-    def search(roots, *args):
-        return [_bnb(*_split(roots[0]), *args)]
-
-    return _branch_and_bound([instance], config, search)[0]
+    return _bnb_batch([instance], config)[0]
 
 
 def _bnb_batch(instances: Sequence[QuboInstance], config: SolverConfig) -> list[SolveOutcome]:
     """``solve_exact`` of instances above ``enum_threshold``, searched in lockstep.
 
-    Outcome i equals a lone ``solve_exact(instances[i], config)`` in bits,
-    value, status and node count when neither runs out of budget.  The
-    searches share ``len(instances) * time_budget`` seconds, as a sweep's
+    Each instance's variables are fixed by ``fix_variables``; an instance
+    that fixing empties is proven at one node, and ``_bnb_lockstep``
+    searches the reduced instances that remain.  Outcome i equals a lone
+    ``solve_exact(instances[i], config)`` in bits, value, status and node
+    count when neither runs out of budget.  The instances share
+    ``len(instances) * time_budget`` seconds from the start, as a sweep's
     instances do; when that runs out, every unfinished search returns
     ``budget_exhausted`` with its incumbent.
-    """
-    return _branch_and_bound(instances, config, _bnb_lockstep)
-
-
-def _branch_and_bound(instances, config: SolverConfig, search) -> list[SolveOutcome]:
-    """Fix each instance's variables, then ``search`` the roots that remain.
-
-    ``search(roots, enum_threshold, deadline)`` takes every reduced instance
-    with variables left and returns (bits, nodes, closed) for each.  An
-    instance that fixing empties is proven at one node.  The instances share
-    ``len(instances) * time_budget`` seconds from the start.
     """
     t0 = time.perf_counter()
     budget = config.time_budget
     deadline = t0 + len(instances) * budget if budget is not None else None
     reps = [fix_variables(inst) for inst in instances]
     roots = [rep.reduced for rep in reps if rep.reduced.n]
-    found = iter(search(roots, config.enum_threshold, deadline) if roots else ())
-    outcomes = []
+    found = iter(_bnb_lockstep(roots, config.enum_threshold, deadline) if roots else ())
+    rows = []
     for inst, rep in zip(instances, reps):
         sub_bits, nodes, closed = next(found) if rep.reduced.n else ((), 1, True)
         bits = merge_assignment(inst.n, rep.assignments, rep.index_map, sub_bits)
-        status = PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED
-        outcomes.append(_finish(inst, bits, status, nodes, t0))
-    return outcomes
+        rows.append((inst, bits, PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED, nodes))
+    return _finish(rows, t0)
 
 
 def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:
@@ -694,9 +635,9 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
     deadline = t0 + config.time_budget if config.time_budget is not None else None
     n = instance.n
     if n == 0:
-        return _finish(instance, (), HEURISTIC, 0, t0)
+        return _finish([(instance, (), HEURISTIC, 0)], t0)[0]
     diag, off = _split(instance)
-    _delta, bit, strict = _classify(diag, off)
+    _delta, bit, strict = _classify(diag, *_sign_sums(off))
     start_one = strict & (bit == 1)
     free = ~strict
     rng = np.random.default_rng(config.seed)
@@ -746,7 +687,7 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
                 stale += 1
         if out_of_time:
             break
-    return _finish(instance, best_bits, HEURISTIC, moves, t0)
+    return _finish([(instance, best_bits, HEURISTIC, moves)], t0)[0]
 
 
 def solve(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:

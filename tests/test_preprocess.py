@@ -16,7 +16,7 @@ from qrobust import (
     reduce_instance,
     sensitivity_report,
 )
-from qrobust.preprocess import merge_assignment
+from qrobust.preprocess import _classify, _sign_sums, _split, merge_assignment
 
 
 class TestFixSlack:
@@ -169,6 +169,82 @@ def test_results_do_not_depend_on_coefficient_order():
     assert (a.assignments, a.strict, a.deltas, a.constant, a.rounds, a.index_map) == (
         b.assignments, b.strict, b.deltas, b.constant, b.rounds, b.index_map
     )
+
+
+def rule_by_hand(instance: QuboInstance) -> list[tuple[float, int, bool]]:
+    """(slack, bit, strict) per variable, read literally off the ``preprocess`` docstring.
+
+    One variable at a time: N_i and P_i add row i's negative and positive
+    off-diagonal coefficients in ascending column order and are doubled.
+    Bit -1 means free.
+    """
+    n = instance.n
+    c = [[0.0] * n for _ in range(n)]
+    for (i, j), v in instance.coefficients.items():
+        c[i][j] = c[j][i] = v
+    out = []
+    for i in range(n):
+        neg = pos = 0.0
+        for j in range(n):
+            if j != i and c[i][j] < 0.0:
+                neg += c[i][j]
+            if j != i and c[i][j] > 0.0:
+                pos += c[i][j]
+        neg, pos = 2.0 * neg, 2.0 * pos
+        d = c[i][i]
+        slack = d + neg if d >= 0.0 else d + pos
+        if d > 0.0 and d + neg > 0.0:  # strict dominance
+            out.append((slack, 1, True))
+        elif d < 0.0 and d + pos < 0.0:  # strict recessiveness
+            out.append((slack, 0, True))
+        elif d == 0.0 and neg == 0.0 < pos:  # weak rules for a zero diagonal
+            out.append((slack, 1, False))
+        elif d == 0.0 and pos == 0.0 > neg:
+            out.append((slack, 0, False))
+        else:  # includes a variable whose diagonal and row are all zero
+            out.append((slack, -1, False))
+    return out
+
+
+def rule_cases(rng, count: int):
+    """Random instances with zero diagonals, one-signed rows and isolated variables."""
+    for t in range(count):
+        n = int(rng.integers(1, 13))
+        scale = (1.0, 0.1)[t % 2]  # tenths round, so the sums' order shows
+        zero_diag = rng.random(n) < 0.4
+        isolated = rng.random(n) < 0.15
+        # a row with a sign keeps only elements of that sign
+        sign = rng.choice([-1.0, 0.0, 1.0], size=n, p=[0.3, 0.4, 0.3])
+        coeffs = {}
+        for i in range(n):
+            for j in range(i, n):
+                if isolated[i] or isolated[j] or rng.random() > 0.6:
+                    continue
+                v = float(rng.integers(-9, 10)) * scale
+                if i == j:
+                    v = 0.0 if zero_diag[i] else v
+                elif sign[i] and sign[j] and sign[i] != sign[j]:
+                    v = 0.0
+                elif sign[i] or sign[j]:
+                    v = abs(v) * (sign[i] or sign[j])
+                if v:
+                    coeffs[(i, j)] = v
+        yield QuboInstance(n, coeffs), isolated
+
+
+def test_classify_matches_the_rule_read_by_hand():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for inst, isolated in rule_cases(rng, 400):
+        d, o = _split(inst)
+        delta, bit, strict = _classify(d, *_sign_sums(o))
+        got = list(zip(delta.tolist(), bit.tolist(), strict.tolist()))
+        want = rule_by_hand(inst)
+        assert got == want
+        assert all(b == -1 for (_s, b, _st), iso in zip(want, isolated) if iso)
+        seen.update((b, st) for _s, b, st in want)
+    # every rule fired: strict and weak fixes at both bits, and free variables
+    assert seen == {(1, True), (0, True), (1, False), (0, False), (-1, False)}
 
 
 class TestSensitivityReport:

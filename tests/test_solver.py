@@ -1,5 +1,7 @@
 """Exact enumeration, branch and bound, and the tabu heuristic."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,16 @@ from qrobust import (
 )
 from qrobust import solver
 from qrobust.pipeline import scenario_instances
+from qrobust.preprocess import _fold, _split, fix_variables, merge_assignment
 from qrobust.solver import (
+    _LEAF_BITS,
     BUDGET_EXHAUSTED,
     HEURISTIC,
     PROVEN_OPTIMAL,
     SolverConfig,
+    _greedy_ascent,
+    _leaf_max,
+    _tie_tolerance,
     solve_batch,
 )
 
@@ -303,30 +310,128 @@ def effort(outcomes):
     ]
 
 
+def _bnb(
+    diag: np.ndarray,
+    off: np.ndarray,
+    enum_threshold: int,
+    deadline: float | None,
+) -> tuple[np.ndarray, int, bool]:
+    """Depth-first branch and bound.  Returns (bits, nodes, closed).
+
+    Each node folds the branching decisions into effective diagonals, fixes
+    whatever the fixing rule of ``qrobust.preprocess`` decides for the free
+    submatrix (to a fixpoint, via ``_fold``), bounds the remainder by its
+    positive-element sum, and enumerates outright once few enough variables
+    are left.  Branching picks the free variable with the largest rule
+    slack magnitude, value-1 child first for nonnegative effective
+    diagonals.  A candidate replaces the incumbent only when it computes
+    more than the root's tie tolerance above it, and a node whose bound
+    cannot do that is pruned.
+    """
+    n = diag.size
+    leaf_cap = min(enum_threshold, _LEAF_BITS)
+    tol = float(_tie_tolerance(np.concatenate([diag, off.reshape(-1)])))
+    inc_val, inc_bits = _greedy_ascent(diag, off)
+    state = {"val": inc_val, "bits": inc_bits.copy(), "nodes": 0, "closed": True}
+    work = np.zeros(n, dtype=np.int8)
+
+    def rec(idx: np.ndarray, d: np.ndarray, o: np.ndarray, val: float) -> None:
+        state["nodes"] += 1
+        if deadline is not None and time.perf_counter() > deadline:
+            state["closed"] = False
+            return
+        steps, val, survivors, d, o, slack = _fold(d, o, val)
+        for positions, bits, _strict, _deltas in steps:
+            work[idx[positions]] = bits
+        idx = idx[survivors]
+        f = idx.size
+        if f <= leaf_cap:
+            sub_val, pick = _leaf_max(d[None], o[None])
+            if val + sub_val[0] > state["val"] + tol:
+                work[idx] = (pick[0] >> np.arange(f)) & 1
+                state["val"] = val + sub_val[0]
+                state["bits"] = work.copy()
+            return
+        bound = val + float(np.maximum(d, 0.0).sum() + np.maximum(o, 0.0).sum())
+        if bound <= state["val"] + tol:
+            return
+        b = int(np.argmax(np.abs(slack)))
+        keep = np.ones(f, dtype=bool)
+        keep[b] = False
+        idx2 = idx[keep]
+        o2 = o[np.ix_(keep, keep)]
+        d_on = d[keep] + 2.0 * o[keep, b]
+        d_off = d[keep]
+        first = 1 if d[b] >= 0.0 else 0
+        for bit in (first, 1 - first):
+            work[idx[b]] = bit
+            if bit == 1:
+                rec(idx2, d_on, o2, val + float(d[b]))
+            else:
+                rec(idx2, d_off, o2, val)
+
+    rec(np.arange(n), diag.astype(float), off, 0.0)
+    return state["bits"], state["nodes"], state["closed"]
+
+
+def recursive_exact(instance: QuboInstance, config: SolverConfig):
+    """``effort`` of an exact solve above ``enum_threshold`` by the reference ``_bnb``.
+
+    ``_bnb`` recurses over a dense copy of each node's submatrix, not the
+    padded arrays of the package's lockstep search, and the two must walk
+    the same nodes.
+    """
+    rep = fix_variables(instance)
+    sub_bits, nodes, closed = (), 1, True
+    if rep.reduced.n:
+        sub_bits, nodes, closed = _bnb(*_split(rep.reduced), config.enum_threshold, None)
+    bits = merge_assignment(instance.n, rep.assignments, rep.index_map, sub_bits)
+    status = PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED
+    return (bits, evaluate(instance, bits), status, nodes)
+
+
 class TestBnbBatch:
     # enumeration is off (enum_threshold 5 < n), so every scenario is searched
     CONFIG = SolverConfig(mode="exact", time_budget=None, enum_threshold=5)
 
     def lone(self, scenarios):
-        return effort(solve_exact(inst, self.CONFIG) for inst in scenarios)
+        return [recursive_exact(inst, self.CONFIG) for inst in scenarios]
+
+    def check(self, scenarios):
+        # the batch and each lone solve_exact (a batch of one) walk the
+        # searches the recursive reference walks
+        want = self.lone(scenarios)
+        assert effort(solver._bnb_batch(scenarios, self.CONFIG)) == want
+        assert effort(solve_exact(inst, self.CONFIG) for inst in scenarios) == want
 
     def test_matches_lone_solves_on_float_generators(self):
         rng = np.random.default_rng(31)
         for t in range(24):
             n = int(rng.integers(8, 19))
             gen = float_generators(rng, n, (0.3, 0.6, 1.0)[t % 3], 3, uniform)
-            _diff, _k, _design, scenarios = scenario_instances(gen)
-            assert effort(solver._bnb_batch(scenarios, self.CONFIG)) == self.lone(scenarios)
+            self.check(scenario_instances(gen)[3])
 
     def test_tenths_walk_the_same_search(self):
         # tenths round, and equal slacks abound, so a branching variable or
-        # a fix flips unless every row sum runs in the order _bnb's runs in
+        # a fix flips unless every row sum runs in the order the reference's
+        # runs in
         rng = np.random.default_rng(32)
         for t in range(24):
             n = int(rng.integers(8, 16))
             gen = float_generators(rng, n, (0.3, 0.6, 1.0)[t % 3], 3, tenths)
-            _diff, _k, _design, scenarios = scenario_instances(gen)
-            assert effort(solver._bnb_batch(scenarios, self.CONFIG)) == self.lone(scenarios)
+            self.check(scenario_instances(gen)[3])
+
+    def test_outcomes_of_one_call_share_its_elapsed_time(self):
+        rng = np.random.default_rng(35)
+        for n, config in ((10, SolverConfig(time_budget=None)), (12, self.CONFIG)):
+            scenarios = scenario_instances(float_generators(rng, n, 0.6, 3, integers))[3]
+            call = solve_batch if n <= config.enum_threshold else solver._bnb_batch
+            t0 = time.perf_counter()
+            outcomes = call(scenarios, config)
+            wall = time.perf_counter() - t0
+            assert len(outcomes) > 1
+            assert len({out.elapsed for out in outcomes}) == 1
+            assert 0.0 < outcomes[0].elapsed <= wall
 
     def test_slice_size_does_not_change_an_outcome(self):
         rng = np.random.default_rng(33)
