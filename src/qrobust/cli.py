@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -193,8 +194,9 @@ def cmd_analyze(args) -> int:
 def _scenario_optima(text: str) -> list[float]:
     """Optima column of a scenarios CSV, in scenario order.
 
-    Rows must carry indices 0, 1, 2, ... in order, and a row whose solve ran
-    out of budget holds no optimum, so both are refused with the line named.
+    Rows must carry indices 0, 1, 2, ... in order and finite values, and a
+    row whose solve ran out of budget holds no optimum: each fault is
+    refused with the line named.
     """
     optima: list[float] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -209,9 +211,12 @@ def _scenario_optima(text: str) -> list[float]:
         if status == BUDGET_EXHAUSTED:
             raise ParseError(f"scenario {index} is {status}, not an optimum", lineno)
         try:
-            optima.append(float(value))
+            optimum = float(value)
         except ValueError:
             raise ParseError(f"non-numeric value {value!r}", lineno) from None
+        if not math.isfinite(optimum):
+            raise ParseError(f"non-finite value {value!r}", lineno)
+        optima.append(optimum)
     return optima
 
 

@@ -128,6 +128,8 @@ def fit_model(
     y = np.asarray(optima, dtype=float)
     if y.shape != (design.k,):
         raise ValueError(f"need one optimum per run: got {y.shape}, k={design.k}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"optimum of run {np.argmin(np.isfinite(y))} is not a finite number")
     if diff.d != design.d:
         raise ValueError(
             f"difference set has {diff.d} positions, design has {design.d} factors"
@@ -139,16 +141,20 @@ def fit_model(
             f"got k={design.k}, d={design.d}"
         )
     x = design.levels.astype(float)
-    if design.is_balanced() and design.is_orthogonal():
-        intercept = float(y.mean())
-        beta = x.T @ y / design.k
-    else:
-        full = np.column_stack([np.ones(design.k), x])
-        coef, *_ = np.linalg.lstsq(full, y, rcond=None)
-        intercept = float(coef[0])
-        beta = coef[1:]
-    residuals = y - (intercept + x @ beta)
-    se = float(np.sqrt(residuals @ residuals / dof))
+    # finite optima can still overflow; the result is checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if design.is_balanced() and design.is_orthogonal():
+            intercept = float(y.mean())
+            beta = x.T @ y / design.k
+        else:
+            full = np.column_stack([np.ones(design.k), x])
+            coef, *_ = np.linalg.lstsq(full, y, rcond=None)
+            intercept = float(coef[0])
+            beta = coef[1:]
+        residuals = y - (intercept + x @ beta)
+        se = float(np.sqrt(residuals @ residuals / dof))
+    if not np.isfinite([intercept, se, *beta]).all():
+        raise ValueError(f"the fit overflows (intercept {intercept}, standard error {se})")
     return SurfaceModel(
         intercept=intercept,
         coefficients=beta,
@@ -241,18 +247,24 @@ def model_to_json(model: SurfaceModel) -> dict:
 
 
 def model_from_json(obj: dict) -> SurfaceModel:
+    """The model of a ``model_to_json`` document; every number in it must be finite."""
     try:
         positions = tuple((int(e["i"]), int(e["j"])) for e in obj["coefficients"])
-        beta = np.array([float(e["beta"]) for e in obj["coefficients"]])
-        return SurfaceModel(
-            intercept=float(obj["intercept"]),
-            coefficients=beta,
-            standard_error=float(obj["standard_error"]),
-            dof=int(obj["dof"]),
-            diff=DifferenceSet(positions=positions),
-        )
+        fields = {name: float(obj[name]) for name in ("intercept", "standard_error", "dof")}
+        beta = [float(e["beta"]) for e in obj["coefficients"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
+    fields.update((f"coefficients[{m}].beta", b) for m, b in enumerate(beta))
+    for name, value in fields.items():
+        if not np.isfinite(value):
+            raise ValueError(f"model field {name} is {value}, not a finite number")
+    return SurfaceModel(
+        intercept=fields["intercept"],
+        coefficients=np.array(beta),
+        standard_error=fields["standard_error"],
+        dof=int(fields["dof"]),
+        diff=DifferenceSet(positions=positions),
+    )
 
 
 def comparison_to_csv(comparison: BoundComparison) -> str:

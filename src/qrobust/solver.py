@@ -17,25 +17,33 @@ walks alone: same nodes, same branching, same incumbent rule, same bits
 (up to the rounding ``_bnb_lockstep`` describes).  Batching only shares
 the numpy calls of a step, and the budget of the batch.
 
-Enumeration has one kernel, ``solve_batch``.  It scores a batch of
-instances of equal size in one sweep: the objective is linear in the
-coefficient values, so one table of pair products ``x_i x_j`` over the
-batch's union support times a value matrix (one column per instance)
-gives every instance's objective for a block of assignments at once.
+Enumeration has one kernel, ``_enumerate``.  It scores a stack of dense
+matrices of equal width together, a chunk of assignments at a time: the
+low bits of an assignment read one cached table of their values and pair
+products, and the high bits fold into that table's coefficients, so one
+matrix product scores a chunk of every matrix.  ``solve_batch`` sweeps
+its instances in Gray-code order; branch and bound scores its leaves in
+binary order.
 
 Ties are settled by a rule that survives a reordered sum.  Let
-``tol = nnz * eps * sum|V|``, where ``V`` holds the instance's own nonzero
-support values with off-diagonals doubled, whatever shares its batch.  For
-any summation order a computed objective is within tol / 2 of its exact
-value, so assignments of equal exact value compute within tol of each
-other.  The kernel picks the earliest assignment in Gray-code order whose
-computed value is at least the computed maximum minus tol, and reports the
-value ``evaluate`` gives for it.  Exact ties therefore go to the earliest
-of them in Gray-code order however the sum was grouped.  Branch and bound
-applies the rule in binary order inside a leaf (``V`` the leaf's dense
-matrix), and between leaves keeps its incumbent unless a candidate
-computes more than the root matrix's tol above it, so a near-tie goes to
-the candidate found first.
+``tol = nnz * eps * sum|V|``, where ``V`` holds the terms the objective
+adds up and nnz counts the nonzero ones.  For any summation order a
+computed objective is within tol / 2 of its exact value, so assignments
+of equal exact value compute within tol of each other.  The kernel picks
+the earliest assignment in its order whose computed value is at least the
+computed maximum minus tol.  It adds each diagonal once and each
+off-diagonal pair once, doubled, never ``o_ij`` and ``o_ji`` apart, so
+its sum has at most nnz nonzero terms for either caller's ``V``:
+
+* ``solve_batch`` passes each instance's own support values with
+  off-diagonals doubled (``_terms``), whatever shares its batch, the
+  tolerance ``pipeline.coverage`` also uses.  It reports the value
+  ``evaluate`` gives for the pick, so exact ties go to the earliest of
+  them in Gray-code order however the sum was grouped.
+* Branch and bound passes every element of the leaf's dense matrix, and
+  between leaves keeps its incumbent unless a candidate computes more than
+  the root matrix's tol above it, so a near-tie goes to the candidate
+  found first.
 """
 
 from __future__ import annotations
@@ -58,14 +66,12 @@ MODE_AUTO = "auto"
 MODE_EXACT = "exact"
 MODE_HEURISTIC = "heuristic"
 
-# element cap on one enumeration block's pair-product table plus its values
-_BLOCK_ELEMENTS = 1 << 20
+# cap on the objectives one chunk of an enumeration holds
+_BLOCK_ELEMENTS = 1 << 16
 # below this many free variables a branch-and-bound node is enumerated outright
 _LEAF_BITS = 12
-# element cap on the objectives of one block of leaves scored together
-_LEAF_ELEMENTS = 1 << 14
-# leaf bits read from a shared table; the others are folded into its coefficients
-_LEAF_LOW_BITS = 6
+# enumerated bits read from a shared table; the others are folded into its coefficients
+_LOW_BITS = 6
 
 
 def _bits(codes: np.ndarray, width: int) -> np.ndarray:
@@ -140,73 +146,19 @@ def _tie_tolerance(terms: np.ndarray) -> np.ndarray:
     return np.count_nonzero(terms, axis=0) * np.finfo(float).eps * np.abs(terms).sum(axis=0)
 
 
-class _Sweep:
-    """A batch's union support, laid out for blockwise Gray-code scoring.
-
-    Gray index g stands for the assignment whose bit i is bit i of
-    ``g ^ (g >> 1)``.  Block h holds g in [h * rows, (h + 1) * rows) with
-    rows = 2^low.  Its high bits (i >= low) are gray(h) shifted up by low,
-    fixed for the block, and its low bits run through the Gray table of
-    ``low`` bits, in reverse when h is odd (reflecting a Gray code flips
-    its top bit).  So each support entry is one column of a shared table
-    (``x_i`` for a diagonal or a low-high pair, ``x_i x_j`` for a low
-    pair, ones for a high pair) scaled by whether its high bits are set in
-    the block, and a block's objectives are one product of the table with
-    the folded value matrix.
-    """
-
-    def __init__(self, instances: Sequence[QuboInstance]):
-        n = instances[0].n
-        k = len(instances)
-        keys, where = np.unique(
-            np.concatenate([inst.rows * n + inst.cols for inst in instances]), return_inverse=True
-        )
-        values = np.zeros((len(keys), k))
-        owner = np.repeat(np.arange(k), [inst.nnz for inst in instances])
-        values[where, owner] = np.concatenate([_terms(inst) for inst in instances])
-        i, j = np.divmod(keys, n)
-        self.values = values
-        self.tol = _tie_tolerance(values)
-
-        def pairs(low: int) -> np.ndarray:
-            return (i != j) & (j < low)
-
-        low = n
-        while low > 0 and (1 << low) * (low + int(pairs(low).sum()) + 1 + k) > _BLOCK_ELEMENTS:
-            low -= 1
-        self.n, self.low, self.rows = n, low, 1 << low
-        pair = pairs(low)
-        column = np.where(i < low, i, low + int(pair.sum()))
-        column[pair] = low + np.arange(int(pair.sum()))
-        self.fold = np.zeros((low + int(pair.sum()) + 1, len(keys)))
-        self.fold[column, np.arange(len(keys))] = 1.0
-        self.high_i, self.high_j = i >= low, j >= low
-        self.i, self.j = i, j
-        r = np.arange(self.rows)
-        x = _bits(r ^ (r >> 1), low)
-        self.table = np.hstack([x, x[:, i[pair]] * x[:, j[pair]], np.ones((self.rows, 1))])
-
-    def block(self, h: int, which=slice(None)) -> np.ndarray:
-        """Objectives of block h (rows in Gray order) for the chosen instances."""
-        code = (h ^ (h >> 1)) << self.low
-        x = np.array([(code >> v) & 1 for v in range(self.n)], dtype=np.float64)
-        active = np.where(self.high_i, x[self.i], 1.0) * np.where(self.high_j, x[self.j], 1.0)
-        vals = self.table @ (self.fold @ (self.values[:, which] * active[:, None]))
-        return vals[::-1] if h & 1 else vals
-
-
 def solve_batch(
     instances: Sequence[QuboInstance], config: SolverConfig | None = None
 ) -> list[SolveOutcome]:
     """Provably optimal solves of equal-size instances by one shared enumeration.
 
     Every instance must have the same n, at most ``config.enum_threshold``.
-    One Gray-code sweep scores all instances on each block of assignments;
-    the tie rule of the module docstring picks each instance's solution.
-    The sweep gets ``len(instances) * time_budget`` seconds.  When that
-    runs out, every instance returns ``budget_exhausted`` with its best
-    assignment so far.  Block rows come from a fixed cap on the elements of
-    a block's product table and values, so memory does not grow with 2^n.
+    One ``_enumerate`` sweep in Gray-code order scores all instances on
+    each chunk of assignments; the tie rule of the module docstring, with
+    each instance's own ``_terms`` tolerance, picks each instance's
+    solution.  The sweep gets ``len(instances) * time_budget`` seconds.
+    When that runs out, every instance returns ``budget_exhausted`` with its
+    best assignment so far.  Chunks come from a fixed cap on their
+    objectives, so memory does not grow with 2^n.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -217,62 +169,144 @@ def solve_batch(
         raise ValueError("batched instances must share one variable count")
     if n > config.enum_threshold:
         raise ValueError(f"n={n} is above enum_threshold={config.enum_threshold}")
-    k = len(instances)
-    deadline = t0 + k * config.time_budget if config.time_budget is not None else None
-    sweep = _Sweep(instances)
-    rows, tol = sweep.rows, sweep.tol
-    blocks = 1 << (n - sweep.low)
-    best = np.full(k, -np.inf)  # largest computed objective so far
-    first = np.zeros(k, dtype=np.int64)  # earliest Gray index within tol of it
-    first_val = np.full(k, -np.inf)
-    block_max = np.empty((blocks, k))
-    closed = True
-    for h in range(blocks):
-        vals = sweep.block(h)
-        block_max[h] = vals.max(axis=0)
-        up = np.flatnonzero(block_max[h] > best)
-        if up.size:
-            thr = block_max[h, up] - tol[up]
-            hit = (vals[:, up] >= thr).argmax(axis=0)
-            kept, kept_val = first[up], first_val[up]
-            first[up] = h * rows + hit
-            first_val[up] = vals[hit, up]
-            # an earlier assignment within tol of the new maximum still wins
-            for m in np.flatnonzero(best[up] >= thr):
-                s = up[m]
-                if kept_val[m] >= thr[m]:
-                    first[s], first_val[s] = kept[m], kept_val[m]
-                    continue
-                found = _earliest_within(sweep, block_max, s, thr[m], kept[m] // rows, h)
-                if found is not None:
-                    first[s], first_val[s] = found
-            best[up] = block_max[h, up]
-        if h + 1 < blocks and deadline is not None and time.perf_counter() > deadline:
-            closed = False
-            blocks = h + 1
-            break
-    scanned = blocks * rows
-    status = PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED
-    codes = [g ^ (g >> 1) for g in first.tolist()]
-    bits = [[(c >> v) & 1 for v in range(n)] for c in codes]
+    deadline = t0 + len(instances) * config.time_budget if config.time_budget is not None else None
+    d, o = (np.stack(part) for part in zip(*map(_split, instances)))
+    tol = np.array([_tie_tolerance(_terms(inst)) for inst in instances])
+    _values, codes, scanned = _enumerate(d, o, tol, gray=True, deadline=deadline)
+    status = PROVEN_OPTIMAL if scanned == 1 << n else BUDGET_EXHAUSTED
+    bits = [[(c >> v) & 1 for v in range(n)] for c in codes.tolist()]
     return _finish([(inst, b, status, scanned) for inst, b in zip(instances, bits)], t0)
 
 
-def _earliest_within(sweep: _Sweep, block_max, s: int, thr: float, start: int, stop: int):
-    """Earliest (Gray index, objective) of instance s at or above thr in blocks [start, stop).
+@functools.lru_cache(maxsize=None)
+def _pairs(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (i, j), i < j, of ``width`` variables, in row-major order."""
+    return np.triu_indices(width, 1)
 
-    The sweep keeps only each block's maximum, so a block that reaches thr
-    is recomputed for instance s alone.  None when no block does, which
-    can happen only through the rounding of the recomputation.
+
+@functools.lru_cache(maxsize=None)
+def _low_table(low: int, gray: bool) -> np.ndarray:
+    """Scores every assignment of the ``low`` low bits, one column each.
+
+    Column r is assignment r, or gray(r) = r ^ (r >> 1) in Gray order.  Its
+    rows are a one, the low bits, then their ``_pairs`` products.
     """
-    for b in range(start, stop):
-        if block_max[b, s] < thr:
-            continue
-        vals = sweep.block(b, [s])[:, 0]
-        r = int(np.argmax(vals >= thr))
-        if vals[r] >= thr:
-            return b * sweep.rows + r, vals[r]
-    return None
+    r = np.arange(1 << low)
+    x = _bits(r ^ (r >> 1) if gray else r, low)
+    i, j = _pairs(low)
+    return np.hstack([np.ones((1 << low, 1)), x, x[:, i] * x[:, j]]).T.copy()
+
+
+def _enumerate(
+    d: np.ndarray, o: np.ndarray, tol: np.ndarray, gray: bool, deadline: float | None = None
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Maximum of x^t m x over every assignment of each matrix of a stack.
+
+    Matrix s has diagonal ``d[s]`` and off-diagonal part ``o[s]``
+    (symmetric, zero diagonal); ``d`` is (a, w).  Assignments run in binary
+    order, or in Gray-code order when ``gray``: index g stands for the
+    assignment with code ``g ^ (g >> 1)``, bit v of a code being x_v.  The
+    earliest assignment whose computed objective is at least the computed
+    maximum minus ``tol[s]`` wins.  Zero rows padded at the end of a matrix
+    change no pick in binary order: a padded assignment scores what its
+    unpadded prefix scores and comes later.
+
+    Index g splits into a block h of its high bits and a row r of its
+    ``low = min(w, _LOW_BITS)`` low bits.  For fixed high bits the
+    objective is linear in the low bits and their pair products, so a
+    block is ``_low_table`` scaled by coefficients folded from h; in Gray
+    order the high bits are gray(h) shifted up by low, and an odd block
+    runs through the table backwards (reflecting a Gray code flips its top
+    bit).  Every term enters once: a diagonal, or an off-diagonal pair
+    doubled, which the tie rule of the module docstring needs.
+
+    Chunks of blocks hold at most about ``_BLOCK_ELEMENTS`` objectives, so
+    memory does not grow with 2^w.  A chunk keeps only each matrix's
+    maximum, and an earlier chunk that reaches a later threshold is scored
+    again for that matrix alone.  Past ``deadline`` the sweep stops between
+    chunks.  Returns each matrix's computed value and assignment code at
+    its pick, and the number of assignments scanned per matrix.
+    """
+    a, w = d.shape
+    low, high = min(w, _LOW_BITS), max(w - _LOW_BITS, 0)
+    rows, blocks = 1 << low, 1 << high
+    table = _low_table(low, gray)
+    i, j = _pairs(low)
+    hi, hj = _pairs(high)
+    # the coefficients of the table's first low + 1 rows are linear in the
+    # high bits and their pairs: fold[:, s] maps those to matrix s's
+    # constant (the high diagonals, and the high pairs doubled) and to its
+    # low bits' linear terms (their pairs with high bits, doubled)
+    fold = np.zeros((high + hi.size, a, 1 + low))
+    fold[:high, :, 0] = d[:, low:].T
+    fold[high:, :, 0] = 2.0 * o[:, low + hi, low + hj].T
+    fold[:high, :, 1:] = 2.0 * o[:, low:, :low].transpose(1, 0, 2)
+    base = np.concatenate([np.zeros((a, 1)), d[:, :low], 2.0 * o[:, i, j]], axis=1)
+
+    def scores(h0: int, h1: int, s: slice) -> np.ndarray:
+        """Objectives of blocks [h0, h1) of the matrices ``s``: (matrices, blocks, rows)."""
+        h = np.arange(h0, h1)
+        x = _bits(h ^ (h >> 1) if gray else h, high)
+        part = fold[:, s]
+        c = part.shape[1]
+        folded = np.hstack([x, x[:, hi] * x[:, hj]]) @ part.reshape(len(fold), c * (1 + low))
+        coef = np.empty((c, h1 - h0, len(table)))
+        coef[...] = base[s, None]
+        coef[..., : 1 + low] += folded.reshape(h1 - h0, c, 1 + low).transpose(1, 0, 2)
+        return (coef.reshape(-1, len(table)) @ table).reshape(c, h1 - h0, rows)
+
+    def earliest(vals: np.ndarray, thr: np.ndarray, h0: int) -> tuple:
+        """Index, value and presence of each row's first objective at or above thr.
+
+        ``vals`` holds blocks from h0 on, rows in table order; an odd block
+        runs backwards in Gray order.
+        """
+        hit = vals >= thr[:, None, None]
+        if gray:
+            odd = slice((h0 + 1) % 2, None, 2)
+            hit[:, odd] = hit[:, odd, ::-1]
+        hit = hit.reshape(len(hit), -1)
+        at = hit.argmax(axis=1)
+        b, r = np.divmod(at, rows)
+        if gray:
+            r = np.where((h0 + b) % 2 == 1, rows - 1 - r, r)
+        line = np.arange(len(at))
+        return h0 * rows + at, vals[line, b, r], hit[line, at]
+
+    step = max(1, _BLOCK_ELEMENTS // (a * rows))
+    best = np.full(a, -np.inf)  # largest computed objective so far
+    first = np.zeros(a, dtype=np.int64)  # earliest index within tol of it
+    first_val = np.full(a, -np.inf)
+    tops = []  # each chunk's maximum per matrix
+    for h0 in range(0, blocks, step):
+        h1 = min(h0 + step, blocks)
+        vals = scores(h0, h1, slice(None))
+        tops.append(vals.reshape(a, -1).max(axis=1))
+        up = np.flatnonzero(tops[-1] > best)
+        if up.size:
+            thr = tops[-1][up] - tol[up]
+            kept, kept_val = first[up], first_val[up]
+            rising = vals if up.size == a else vals[up]
+            first[up], first_val[up], _found = earliest(rising, thr, h0)
+            # an earlier assignment within tol of the new maximum still wins
+            for m in np.flatnonzero(best[up] >= thr).tolist():
+                s = slice(up[m], up[m] + 1)
+                if kept_val[m] >= thr[m]:
+                    first[s], first_val[s] = kept[m], kept_val[m]
+                    continue
+                # an earlier chunk that reaches thr is scored again for this
+                # matrix alone; the rescoring's rounding may still miss thr
+                for b0 in range(kept[m] // rows // step * step, h0, step):
+                    if tops[b0 // step][s] >= thr[m]:
+                        g, v, found = earliest(scores(b0, b0 + step, s), thr[m : m + 1], b0)
+                        if found[0]:
+                            first[s], first_val[s] = g, v
+                            break
+            best[up] = tops[-1][up]
+        if h1 < blocks and deadline is not None and time.perf_counter() > deadline:
+            break
+    codes = first ^ (first >> 1) if gray else first
+    return first_val, codes, h1 * rows
 
 
 def _objective(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> float:
@@ -301,62 +335,6 @@ def _greedy_ascent(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray
             break
         x[i] = 1 - x[i]
     return _objective(diag, off, x), x
-
-
-@functools.lru_cache(maxsize=None)
-def _leaf_tables(width: int) -> tuple:
-    """Tables that score every assignment of ``width`` leaf variables.
-
-    Assignment t (bit j of t for local variable j, so t runs in binary
-    order) splits into its low ``low`` bits and its high bits h.  For fixed
-    h the objective is linear in the low bits and their pair products, so
-    it is row r of ``table`` (columns: the low bits, their pair products
-    (i, j) for i < j, then a one) dotted with coefficients folded from h.
-    Returns (low, i, j, table transposed, high bits of each h).
-    """
-    low = min(width, _LEAF_LOW_BITS)
-    x = _bits(np.arange(1 << low), low)
-    i, j = np.triu_indices(low, 1)
-    table = np.hstack([x, x[:, i] * x[:, j], np.ones((1 << low, 1))]).T.copy()
-    return low, i, j, table, _bits(np.arange(1 << (width - low)), width - low)
-
-
-def _leaf_max(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximum of x^t m x over every assignment of each leaf of a stack.
-
-    Leaf s is the small dense matrix with diagonal ``d[s]`` and
-    off-diagonal part ``o[s]`` (symmetric, zero diagonal); ``d`` is
-    (a, width).  Ties follow the enumeration's rule in binary order: the
-    earliest assignment within the tie tolerance of the leaf's matrix of the
-    computed maximum wins.  A leaf with fewer variables is padded with zero
-    rows at the end; a padded assignment scores what its unpadded prefix
-    scores and comes later in binary order, so the pick is unchanged.
-    Leaves are scored a block at a time, so one product holds at most about
-    ``_LEAF_ELEMENTS`` objectives.  Returns each leaf's value and its
-    assignment as a binary index.
-    """
-    a, width = d.shape
-    low, i, j, table, high = _leaf_tables(width)
-    blocks = high.shape[0]
-    tol = _tie_tolerance(np.concatenate([d, o.reshape(a, -1)], axis=1).T)
-    values = np.empty(a)
-    picks = np.empty(a, dtype=np.int64)
-    step = max(1, _LEAF_ELEMENTS >> width)
-    for lo in range(0, a, step):
-        sl = slice(lo, lo + step)
-        dd, oo = d[sl], o[sl]
-        c = dd.shape[0]
-        coef = np.empty((c, blocks, table.shape[0]))
-        coef[:, :, :low] = dd[:, None, :low] + 2.0 * (high @ oo[:, low:, :low])
-        coef[:, :, low:-1] = 2.0 * oo[:, i, j][:, None, :]
-        quad = ((high @ oo[:, low:, low:]) * high).sum(-1)
-        coef[:, :, -1] = (high @ dd[:, low:, None])[:, :, 0] + quad
-        vals = (coef.reshape(c * blocks, -1) @ table).reshape(c, -1)
-        best = vals.max(axis=1)
-        t = (vals >= (best - tol[sl])[:, None]).argmax(axis=1)
-        picks[sl] = t
-        values[sl] = vals[np.arange(c), t]
-    return values, picks
 
 
 class _Searches:
@@ -469,7 +447,8 @@ class _Searches:
         leaf_d = np.where(valid, np.take_along_axis(d[at], where, axis=1), 0.0)
         leaf_o = self.off[at[:, None, None], where[:, :, None], where[:, None, :]]
         leaf_o *= valid[:, :, None] & valid[:, None, :]
-        sub_val, pick = _leaf_max(leaf_d, leaf_o)
+        tol = _tie_tolerance(np.concatenate([leaf_d, leaf_o.reshape(len(at), -1)], axis=1).T)
+        sub_val, pick, _scanned = _enumerate(leaf_d, leaf_o, tol, gray=False)
         who = self.ids[at]
         better = val[at] + sub_val > self.inc_val[who] + self.tol[who]
         if better.any():
@@ -510,18 +489,18 @@ def _bnb_lockstep(
     the branching decisions into effective diagonals, fixes whatever
     ``preprocess._classify`` decides for the free submatrix (to a fixpoint,
     as ``preprocess._fold`` does), bounds the remainder by its
-    positive-element sum, and enumerates it outright with ``_leaf_max``
-    once ``min(enum_threshold, _LEAF_BITS)`` or fewer variables are left.
-    Branching picks the free variable with the largest slack magnitude
-    (the first on a tie), value-1 child first for a nonnegative effective
-    diagonal.  A candidate replaces the incumbent only when it computes
+    positive-element sum, and enumerates it outright with ``_enumerate``,
+    in binary order, once ``min(enum_threshold, _LEAF_BITS)`` or fewer
+    variables are left.  Branching picks the free variable with the
+    largest slack magnitude (the first on a tie), value-1 child first for
+    a nonnegative effective diagonal.  A candidate replaces the incumbent only when it computes
     more than the root's tie tolerance above it, and a node whose bound
     cannot do that is pruned.  A pruned leaf is still a node but is not
     scored: its candidate is at most its bound.
 
     One loop step pops the current node of every unfinished search, folds
     all of them with one batched product per fixing round, scores every
-    leaf reached in the step with one ``_leaf_max`` call and pushes the
+    leaf reached in the step with one ``_enumerate`` call and pushes the
     children of every other node its bound keeps.  Searches share nothing
     but the deadline, so a root walks the same nodes whatever roots share
     its batch; a lone ``solve_exact`` is a batch of one.  Row sums run as

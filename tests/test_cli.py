@@ -248,6 +248,81 @@ class TestFitAndBoundCommands:
         ) == 2
         assert f"line {line}:" in capsys.readouterr().err
 
+    def scenario_files(self, business_file, tmp_path):
+        design = tmp_path / "design.csv"
+        scen = tmp_path / "scen.csv"
+        assert main(["design", "--gen", business_file, "--out", str(design)]) == 0
+        assert main(
+            ["analyze", "--gen", business_file, "--mode", "exact", "--scenarios", str(scen)]
+        ) == 0
+        return design, scen
+
+    @staticmethod
+    def set_value(row: str, value: str) -> str:
+        index, bits, _value, status = row.split(",")
+        return ",".join([index, bits, value, status])
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e999"])
+    def test_fit_refuses_a_non_finite_optimum(self, business_file, tmp_path, capsys, value):
+        design, scen = self.scenario_files(business_file, tmp_path)
+        rows = scen.read_text().splitlines()
+        rows[3] = self.set_value(rows[3], value)
+        scen.write_text("\n".join(rows) + "\n")
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(
+            ["fit", "--gen", business_file, "--design", str(design), "--scenarios", str(scen),
+             "--out", str(model)]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "line 4:" in err and "non-finite" in err
+        assert not model.exists()
+
+    def test_fit_refuses_optima_whose_fit_overflows(self, business_file, tmp_path, capsys):
+        # each optimum is finite, but their sum is not
+        design, scen = self.scenario_files(business_file, tmp_path)
+        rows = scen.read_text().splitlines()
+        scen.write_text("\n".join([rows[0], *(self.set_value(r, "1e308") for r in rows[1:])]) + "\n")
+        model = tmp_path / "model.json"
+        capsys.readouterr()
+        assert main(
+            ["fit", "--gen", business_file, "--design", str(design), "--scenarios", str(scen),
+             "--out", str(model)]
+        ) == 2
+        assert "the fit overflows" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("standard_error", float("inf")), ("intercept", float("nan")), ("dof", float("inf"))],
+    )
+    def test_bound_refuses_a_non_finite_model_field(
+        self, business_file, tmp_path, capsys, field, value
+    ):
+        model = tmp_path / "model.json"
+        assert main(["fit", "--gen", business_file, "--mode", "exact", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc[field] = value
+        model.write_text(json.dumps(doc))
+        comp = tmp_path / "comp.csv"
+        capsys.readouterr()
+        assert main(
+            ["bound", "--gen", business_file, "--model", str(model), "--validate", "2",
+             "--out", str(comp)]
+        ) == 2
+        assert f"model field {field} is" in capsys.readouterr().err
+        assert not comp.exists()
+
+    def test_bound_refuses_a_non_finite_coefficient(self, business_file, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["fit", "--gen", business_file, "--mode", "exact", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        doc["coefficients"][1]["beta"] = float("-inf")
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["bound", "--gen", business_file, "--model", str(model)]) == 2
+        assert "model field coefficients[1].beta is -inf" in capsys.readouterr().err
+
     def test_inline_fit_refuses_budget_exhausted(self, business_file, capsys):
         # enumeration is off and the budget ends before branch and bound starts
         code = main(

@@ -24,8 +24,8 @@ from qrobust.solver import (
     HEURISTIC,
     PROVEN_OPTIMAL,
     SolverConfig,
+    _enumerate,
     _greedy_ascent,
-    _leaf_max,
     _tie_tolerance,
     solve_batch,
 )
@@ -52,6 +52,17 @@ class TestOneFlipGain:
     def test_index_out_of_range(self, demo5):
         with pytest.raises(ValueError):
             one_flip_gain(demo5, (0,) * 5, 9)
+
+
+def dense_tolerance(d: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """The tie tolerance of each dense leaf of a stack, over every element."""
+    return _tie_tolerance(np.concatenate([d, o.reshape(len(d), -1)], axis=1).T)
+
+
+def leaf_max(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and binary index of one dense leaf's pick, as branch and bound scores it."""
+    values, codes, _scanned = _enumerate(d[None], o[None], dense_tolerance(d[None], o[None]), False)
+    return values, codes
 
 
 class TestSolveExact:
@@ -124,7 +135,7 @@ class TestSolveExact:
         assert out.solution.value == 0.3
         m = QuboInstance(3, {k: v for k, v in coeffs.items() if k != (3, 3)}).to_dense()
         d = m.diagonal().copy()
-        values, picks = solver._leaf_max(d[None], (m - np.diag(d))[None])
+        values, picks = leaf_max(d, m - np.diag(d))
         assert (values[0], picks[0]) == (0.3, 1)  # binary index 1 is (1, 0, 0)
 
     def test_branch_float_near_tie_keeps_the_first_incumbent(self):
@@ -279,6 +290,66 @@ class TestSolveBatch:
         assert out.status == PROVEN_OPTIMAL
 
 
+def binary_walk(d: np.ndarray, o: np.ndarray, tol: float) -> tuple[int, float]:
+    """Earliest binary index within tol of the maximum of x^t m x, and its value.
+
+    A pure-Python loop over every assignment, summing in index order.
+    """
+    width = len(d)
+    values = []
+    for t in range(1 << width):
+        x = [(t >> v) & 1 for v in range(width)]
+        value = 0.0
+        for u in range(width):
+            value += float(d[u]) * x[u]
+            for v in range(u + 1, width):
+                value += 2.0 * float(o[u, v]) * x[u] * x[v]
+        values.append(value)
+    top = max(values)
+    t = next(t for t, value in enumerate(values) if value >= top - tol)
+    return t, values[t]
+
+
+class TestEnumerate:
+    def test_binary_order_matches_a_python_walk(self, monkeypatch):
+        # several chunks per stack; every other leaf has zero rows padded at
+        # its end, so its maximum repeats in later blocks
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(41)
+        for width in range(1, 13):
+            for draw in (uniform, tenths, integers):
+                a = 3 if width < 11 else 2
+                d, o = np.zeros((a, width)), np.zeros((a, width, width))
+                for s in range(a):
+                    f = width - (s % 2) * (width // 3)
+                    d[s, :f] = [draw(rng) for _ in range(f)]
+                    for u, v in zip(*np.triu_indices(f, 1)):
+                        if rng.random() < 0.6:
+                            o[s, u, v] = o[s, v, u] = draw(rng)
+                tol = dense_tolerance(d, o)
+                values, codes, scanned = _enumerate(d, o, tol, False)
+                assert scanned == 1 << width
+                for s in range(a):
+                    t, value = binary_walk(d[s], o[s], float(tol[s]))
+                    assert codes[s] == t
+                    assert abs(values[s] - value) <= tol[s]
+
+    def test_near_tie_across_chunks_is_rescored(self, monkeypatch):
+        # x0, x6 and x7 alone score 1, 1 + 0.6 tol and 1 + 1.2 tol at Gray
+        # indices 1, 127 and 255: blocks 0, 1 and 3 of 64 rows.  With one
+        # block per chunk, x7 raises the maximum past x0's reach, and the
+        # chunk of x6 is scored again to find the earliest within tol
+        cut = {(i, j): -1000.0 for i, j in ((0, 6), (0, 7), (6, 7))}
+        tol = 11 * np.finfo(float).eps * (3.0 + 5.0 + 6000.0)
+        coeffs = {**cut, (0, 0): 1.0, (6, 6): 1.0 + 0.6 * tol, (7, 7): 1.0 + 1.2 * tol}
+        coeffs.update({(v, v): -1.0 for v in range(1, 6)})
+        inst = QuboInstance(8, coeffs)
+        want = (0, 0, 0, 0, 0, 0, 1, 0)
+        assert solve_exact(inst).solution.bits == want
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
+        assert solve_exact(inst).solution.bits == want
+
+
 def uniform(rng) -> float:
     return float(rng.uniform(-10.0, 10.0))
 
@@ -346,7 +417,7 @@ def _bnb(
         idx = idx[survivors]
         f = idx.size
         if f <= leaf_cap:
-            sub_val, pick = _leaf_max(d[None], o[None])
+            sub_val, pick = leaf_max(d, o)
             if val + sub_val[0] > state["val"] + tol:
                 work[idx] = (pick[0] >> np.arange(f)) & 1
                 state["val"] = val + sub_val[0]
