@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .qubo import Key, QuboInstance, _Record, _support
+from .qubo import Key, ParseError, QuboInstance, _Record, _support
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -216,14 +216,30 @@ def generators_to_json(gen: ScenarioGenerators) -> dict:
     }
 
 
+def _json_fields(obj: dict, names: str, integer: bool, where: str) -> list:
+    """The fields ``names`` of a JSON object: JSON integers if ``integer``, else numbers as floats.
+
+    Never a bool or a string; a field that is not raises ValueError naming ``where`` and it.
+    """
+    values = []
+    for name in names.split():
+        value = obj[name]
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            kind = "an integer" if integer else "a number"
+            raise ValueError(f"{where}{name} is {value!r}, not {kind}")
+        values.append(value if integer else float(value))
+    return values
+
+
 def generators_from_json(obj: dict) -> ScenarioGenerators:
     try:
-        n = int(obj["n"])
-        entries = {
-            (int(e["i"]), int(e["j"])): (float(e["a"]), float(e["b"]))
-            for e in obj["entries"]
-        }
-    except (KeyError, TypeError) as exc:
+        (n,) = _json_fields(obj, "n", True, "generators field ")
+        entries = {}
+        for t, e in enumerate(obj["entries"]):
+            where = f"generators field entries[{t}]."
+            key = tuple(_json_fields(e, "i j", True, where))
+            entries[key] = tuple(_json_fields(e, "a b", False, where))
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed generators document: {exc}") from exc
     return ScenarioGenerators(n=n, entries=entries)
 
@@ -240,16 +256,22 @@ def design_to_csv(design: DesignMatrix, diff: DifferenceSet) -> str:
 
 
 def design_from_csv(text: str) -> tuple[DesignMatrix, DifferenceSet]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The design and difference set of a ``design_to_csv`` document; a fault names its line."""
+    lines = [(at, ln) for at, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
     if not lines:
         raise ValueError("empty design document")
     positions = []
-    for name in lines[0].split(","):
+    for name in lines[0][1].split(","):
         parts = name.strip().split("_")
-        if len(parts) != 3 or parts[0] != "pos":
-            raise ValueError(f"bad design column name {name!r}")
+        if len(parts) != 3 or parts[0] != "pos" or not (parts[1] + parts[2]).isdecimal():
+            raise ParseError(f"bad design column name {name!r}", lines[0][0])
         positions.append((int(parts[1]), int(parts[2])))
-    rows = [[int(v) for v in ln.split(",")] for ln in lines[1:]]
-    levels = np.asarray(rows, dtype=np.int64)
+    rows = []
+    for at, line in lines[1:]:
+        row = [v.strip() for v in line.split(",")]
+        if len(row) != len(positions) or any(v not in ("+1", "-1", "1") for v in row):
+            raise ParseError(f"expected {len(positions)} entries of +1 or -1, got {line!r}", at)
+        rows.append([int(v) for v in row])
+    levels = np.array(rows, dtype=np.int64).reshape(len(rows), len(positions))
     design = DesignMatrix(k=levels.shape[0], d=len(positions), levels=levels)
     return design, DifferenceSet(positions=tuple(positions))

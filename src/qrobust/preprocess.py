@@ -14,9 +14,19 @@ c_ij and the doubled positive one P_i:
 The slack of variable i is c_ii + N_i for a nonnegative diagonal and
 c_ii + P_i for a negative one.  Fixed variables are folded out of the
 matrix, which can enable further fixing, so the scan repeats to a
-fixpoint.  Everything here works on a dense split of the matrix into its
-diagonal vector and its symmetric, zero-diagonal off-diagonal part, so row
-sums run in index order whatever order the coefficients were stored in.
+fixpoint.
+
+There is one fold, ``_fold``.  It works on a batch of dense matrices,
+each split into its diagonal vector and symmetric zero-diagonal
+off-diagonal part, padded to one width, with a mask of its free
+variables: a fixed variable is masked out, never cut out.
+``fix_variables`` runs it on a batch of one and branch and bound on every
+node; ``reduce_instance`` folds given bits with its ``_fold_ones``, and
+the slack readers classify with its row sums, every row free (``_scan``).
+Row sums add the free rows one at a time in ascending index
+(``_column_sums``).  On float data the constant of the ones may differ in
+its last bits from the compacted fold this one replaced, which grouped
+that sum differently.
 """
 
 from __future__ import annotations
@@ -91,15 +101,24 @@ def _instance(d: np.ndarray, o: np.ndarray, name: str | None) -> QuboInstance:
     return QuboInstance(d.size, (rows, cols, q[rows, cols]), name=name)
 
 
-def _sign_sums(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The doubled negative and positive row sums N and P of the module docstring.
+def _sign_parts(o: np.ndarray) -> dict[float, np.ndarray]:
+    """The elements of ``o`` of each sign that occurs, by sign; stored apart only if both do."""
+    neg, pos = (o < 0.0).any(), (o > 0.0).any()
+    if neg and pos:
+        return {-1.0: np.minimum(o, 0.0), 1.0: np.maximum(o, 0.0)}
+    return {-1.0: o} if neg else {1.0: o} if pos else {}
 
-    They are taken as column sums of the symmetric ``o``, which numpy adds
-    up one row at a time, so each runs in ascending index order.  Skipping
-    zeros does not change such a sum, which lets ``solver._Searches``
-    reproduce it bit for bit on a masked, padded matrix.
-    """
-    return 2.0 * np.minimum(o, 0.0).sum(axis=0), 2.0 * np.maximum(o, 0.0).sum(axis=0)
+
+def _column_sums(part: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Column sums of each matrix of a stack over the rows ``rows`` selects, in ascending order."""
+    return np.add.reduce(part, axis=1, where=rows[:, :, None])
+
+
+def _sign_sums(parts: dict, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N and P of each row's free submatrix; ``parts`` is ``_sign_parts`` of the rows."""
+    sums = {sign: 2.0 * _column_sums(part, free) for sign, part in parts.items()}
+    zero = np.zeros(free.shape)
+    return sums.get(-1.0, zero), sums.get(1.0, zero)
 
 
 def _classify(
@@ -125,45 +144,43 @@ def _classify(
     return np.where(d >= 0.0, up, dn), np.where(one, 1, zero - 1), strict
 
 
-def _fold_fixed(
-    d: np.ndarray, o: np.ndarray, bit: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Fold the variables with ``bit`` 0 or 1 out of (d, o) as ``reduce_instance`` does.
+def _scan(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_classify`` of every variable of one dense split: a batch of one, every row free."""
+    neg, pos = _sign_sums(_sign_parts(o[None]), np.ones((1, d.size), dtype=bool))
+    return _classify(d, neg[0], pos[0])
 
-    Returns the constant, the survivors' positions and their (d, o).  The
-    folded diagonals add column sums in ascending index order, as
-    ``_sign_sums`` does.
+
+def _fold_ones(off: np.ndarray, d: np.ndarray, val: np.ndarray, one: np.ndarray) -> tuple:
+    """(d, val) of each row with the variables ``one`` selects set to 1."""
+    if not one.any():
+        return d, val
+    s1 = one.astype(float)
+    col = _column_sums(off, one)
+    return d + 2.0 * col, val + ((d * s1).sum(axis=1) + (col * s1).sum(axis=1))
+
+
+def _fold(off: np.ndarray, d: np.ndarray, free: np.ndarray, val: np.ndarray, parts=None) -> tuple:
+    """Fix whatever ``_classify`` decides in each row's free submatrix, to a fixpoint.
+
+    Row s has diagonals ``d[s]``, off-diagonal part ``off[s]`` (``parts``
+    is ``_sign_parts(off)``, if given), free variables ``free[s]`` and
+    constant ``val[s]``.  Each round fixes every free variable a rule
+    decides, folds the ones in and masks all of them out.  Returns (rounds,
+    d, free, val, delta, pos): a (fixed, bit, strict, delta) per fixing
+    round, ``fixed`` masking what it fixed, then the folded rows, and the
+    slack and P of the last round, which fixed nothing.
     """
-    keep = (bit < 0).nonzero()[0]
-    s1 = (bit == 1).nonzero()[0]
-    ones = o.take(s1, axis=0)
-    constant = float(d[s1].sum() + ones.take(s1, axis=1).sum())
-    d = d[keep] + (2.0 * ones.sum(axis=0)[keep] if s1.size else 0.0)
-    return constant, keep, d, o.take(keep, axis=0).take(keep, axis=1)
-
-
-def _fold(d: np.ndarray, o: np.ndarray, constant: float = 0.0) -> tuple:
-    """Fix whatever ``_classify`` decides and fold it out, repeating to a fixpoint.
-
-    Each round classifies the survivors against the current folded matrix
-    and fixes all that a rule decides at once.  Returns (steps, constant,
-    survivors, d, o, delta): one (positions, bits, strict, deltas) step per
-    fixing round in ascending position, ``constant`` plus every round's
-    constant, the survivors' positions and folded (d, o), and their slack
-    in the final scan, which fixed nothing.  Positions index the input.
-    """
-    survivors = np.arange(d.size)
-    steps = []
+    parts = _sign_parts(off) if parts is None else parts
+    rounds = []
     while True:
-        delta, bit, strict = _classify(d, *_sign_sums(o))
-        fixed = bit >= 0
+        neg, pos = _sign_sums(parts, free)
+        delta, bit, strict = _classify(d, neg, pos)
+        fixed = free & (bit >= 0)
         if not fixed.any():
-            return steps, constant, survivors, d, o, delta
-        hit = fixed.nonzero()[0]
-        steps.append((survivors[hit], bit[hit], strict[hit], delta[hit]))
-        step, keep, d, o = _fold_fixed(d, o, bit)
-        constant += step
-        survivors = survivors[keep]
+            return rounds, d, free, val, delta, pos
+        rounds.append((fixed, bit, strict, delta))
+        d, val = _fold_ones(off, d, val, fixed & (bit == 1))
+        free = free & ~fixed
 
 
 def fix_slack(instance: QuboInstance, i: int) -> float:
@@ -176,8 +193,7 @@ def fix_slack(instance: QuboInstance, i: int) -> float:
     """
     if not (0 <= i < instance.n):
         raise ValueError(f"variable index {i} out of range for n={instance.n}")
-    d, o = _split(instance)
-    return float(_classify(d, *_sign_sums(o))[0][i])
+    return float(_scan(*_split(instance))[0][i])
 
 
 def pair_slack(instance: QuboInstance, i: int, j: int) -> float:
@@ -190,8 +206,7 @@ def pair_slack(instance: QuboInstance, i: int, j: int) -> float:
         raise ValueError("variable index out of range")
     if i == j:
         raise ValueError("pair slack requires two distinct variables")
-    d, o = _split(instance)
-    delta, bit, strict = _classify(d, *_sign_sums(o))
+    delta, bit, strict = _scan(*_split(instance))
     if bit[i] != 1 or not strict[i]:
         raise ValueError(f"variable {i} is not strictly dominant (slack {delta[i]})")
     return float(delta[i]) / 2.0
@@ -217,8 +232,10 @@ def reduce_instance(
         if bit[i] >= 0:
             raise ValueError(f"duplicate assignment for variable {i}")
         bit[i] = b
-    constant, _keep, d, o = _fold_fixed(*_split(instance), bit)
-    return _instance(d, o, instance.name), constant
+    d, o = _split(instance)
+    d, constant = _fold_ones(o[None], d[None], np.zeros(1), (bit == 1)[None])
+    keep = (bit < 0).nonzero()[0]
+    return _instance(d[0, keep], o[np.ix_(keep, keep)], instance.name), float(constant[0])
 
 
 def fix_variables(instance: QuboInstance) -> FixReport:
@@ -229,22 +246,24 @@ def fix_variables(instance: QuboInstance) -> FixReport:
     and rescans, because folding can newly enable a rule.  The final no-op
     scan counts toward ``rounds``.
     """
-    steps, constant, survivors, d, o, _delta = _fold(*_split(instance))
-    assignments: list[tuple[int, int]] = []
-    strict_flags: list[bool] = []
-    fix_deltas: list[float] = []
-    for positions, bits, strict, deltas in steps:
-        assignments += zip(positions.tolist(), bits.tolist())
-        strict_flags += strict.tolist()
-        fix_deltas += deltas.tolist()
+    d, o = _split(instance)
+    every = np.ones((1, d.size), dtype=bool)
+    rounds, d, free, constant, _delta, _pos = _fold(o[None], d[None], every, np.zeros(1))
+    at, bits, strict, deltas = [], [], [], []
+    for fixed, bit, sure, delta in rounds:
+        at += fixed.nonzero()[1].tolist()
+        bits += bit[fixed].tolist()
+        strict += sure[fixed].tolist()
+        deltas += delta[fixed].tolist()
+    keep = free[0].nonzero()[0]
     return FixReport(
-        assignments=tuple(assignments),
-        constant=constant,
-        reduced=_instance(d, o, instance.name) if steps else instance,
-        index_map=tuple(survivors.tolist()),
-        rounds=len(steps) + 1,
-        strict=tuple(strict_flags),
-        deltas=tuple(fix_deltas),
+        assignments=tuple(zip(at, bits)),
+        constant=float(constant[0]),
+        reduced=_instance(d[0, keep], o[np.ix_(keep, keep)], instance.name) if rounds else instance,
+        index_map=tuple(keep.tolist()),
+        rounds=len(rounds) + 1,
+        strict=tuple(strict),
+        deltas=tuple(deltas),
     )
 
 
@@ -272,7 +291,7 @@ def sensitivity_report(instance: QuboInstance, near_tolerance: float = 0.0) -> S
     if near_tolerance < 0.0:
         raise ValueError(f"near tolerance must be >= 0, got {near_tolerance}")
     d, o = _split(instance)
-    delta, bit, _strict = _classify(d, *_sign_sums(o))
+    delta, bit, _strict = _scan(d, o)
     records = []
     for i, (diagonal, slack, b) in enumerate(zip(d.tolist(), delta.tolist(), bit.tolist())):
         fixable = FIX_ONE if b == 1 else FIX_ZERO if b == 0 else FIX_NONE

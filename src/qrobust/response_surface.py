@@ -19,12 +19,13 @@ from .design import (
     DesignMatrix,
     DifferenceSet,
     ScenarioGenerators,
+    _json_fields,
     _support_index,
     differing_elements,
     random_scenario,
 )
 from .pipeline import _solve_scenarios
-from .qubo import QuboInstance, format_number, positive_sum_bound
+from .qubo import QuboInstance, _sequential_sum, format_number, positive_sum_bound
 from .solver import MODE_EXACT, PROVEN_OPTIMAL, SolverConfig
 
 
@@ -45,9 +46,9 @@ class SurfaceModel:
                 f"coefficient count {beta.shape} != factor count {self.diff.d}"
             )
         if self.standard_error < 0.0:
-            raise ValueError("standard error must be >= 0")
+            raise ValueError(f"standard_error must be >= 0, got {self.standard_error}")
         if self.dof < 0:
-            raise ValueError("degrees of freedom must be >= 0")
+            raise ValueError(f"dof must be >= 0, got {self.dof}")
         object.__setattr__(self, "coefficients", beta)
 
 
@@ -114,6 +115,11 @@ def code_scenario(
     return (2.0 * q - (a + b)) / (a - b)
 
 
+def _sums(terms: np.ndarray) -> np.ndarray:
+    """``qubo._sequential_sum`` of each column of ``terms``: row by row, never through BLAS."""
+    return np.array([_sequential_sum(column) for column in terms.T])
+
+
 def fit_model(
     design: DesignMatrix, optima: Sequence[float], diff: DifferenceSet
 ) -> SurfaceModel:
@@ -121,9 +127,10 @@ def fit_model(
 
     Balanced orthogonal designs admit the closed form: intercept = mean of
     the optima, coefficient m = (column_m . optima) / k.  The orthogonality
-    is checked before the shortcut is used; anything else falls back to a
-    generic least-squares solve.  ``diff`` names the coefficient position
-    behind each design column.
+    is checked before the shortcut is used; anything else falls back to
+    LAPACK's least squares, whose digits depend on the LAPACK build.  The
+    other sums run in a fixed order (``_sums``), never through BLAS.
+    ``diff`` names the coefficient position behind each design column.
     """
     y = np.asarray(optima, dtype=float)
     if y.shape != (design.k,):
@@ -145,14 +152,14 @@ def fit_model(
     with np.errstate(over="ignore", invalid="ignore"):
         if design.is_balanced() and design.is_orthogonal():
             intercept = float(y.mean())
-            beta = x.T @ y / design.k
+            beta = _sums(x * y[:, None]) / design.k
         else:
             full = np.column_stack([np.ones(design.k), x])
             coef, *_ = np.linalg.lstsq(full, y, rcond=None)
             intercept = float(coef[0])
             beta = coef[1:]
-        residuals = y - (intercept + x @ beta)
-        se = float(np.sqrt(residuals @ residuals / dof))
+        residuals = y - (intercept + _sums((x * beta).T))
+        se = float(np.sqrt(_sequential_sum(residuals * residuals) / dof))
     if not np.isfinite([intercept, se, *beta]).all():
         raise ValueError(f"the fit overflows (intercept {intercept}, standard error {se})")
     return SurfaceModel(
@@ -165,7 +172,7 @@ def fit_model(
 
 
 def estimate(model: SurfaceModel, z: Sequence[float]) -> float:
-    """Predicted optimal objective at a coded scenario."""
+    """Predicted optimal objective at a coded scenario, summed in coefficient order."""
     zv = np.asarray(z, dtype=float)
     if zv.shape != (len(model.coefficients),):
         raise ValueError(
@@ -173,7 +180,7 @@ def estimate(model: SurfaceModel, z: Sequence[float]) -> float:
         )
     if np.any(zv < -1.0 - 1e-9) or np.any(zv > 1.0 + 1e-9):
         raise ValueError("coded entries must lie in [-1, +1]")
-    return model.intercept + float(model.coefficients @ zv)
+    return model.intercept + _sequential_sum(model.coefficients * zv)
 
 
 def upper_bound(model: SurfaceModel, z: Sequence[float]) -> float:
@@ -201,7 +208,7 @@ def compare_bounds(
         raise ValueError(f"scenario count must be >= 1, got {count}")
     diff = differing_elements(gen)
     if diff.positions != model.diff.positions:
-        raise ValueError("model was fit against a different difference set")
+        raise ValueError("model coefficients do not match the generators' differing elements")
     config = replace(solver_config or SolverConfig(), mode=MODE_EXACT)
     scenarios = [random_scenario(gen, (seed + t) % 2**64) for t in range(count)]
     outcomes = _solve_scenarios(scenarios, config)
@@ -249,20 +256,25 @@ def model_to_json(model: SurfaceModel) -> dict:
 def model_from_json(obj: dict) -> SurfaceModel:
     """The model of a ``model_to_json`` document; every number in it must be finite."""
     try:
-        positions = tuple((int(e["i"]), int(e["j"])) for e in obj["coefficients"])
-        fields = {name: float(obj[name]) for name in ("intercept", "standard_error", "dof")}
-        beta = [float(e["beta"]) for e in obj["coefficients"]]
-    except (KeyError, TypeError) as exc:
+        intercept, se = _json_fields(obj, "intercept standard_error", False, "model field ")
+        (dof,) = _json_fields(obj, "dof", True, "model field ")
+        entries = [
+            (f"model field coefficients[{m}].", e) for m, e in enumerate(obj["coefficients"])
+        ]
+        positions = tuple(tuple(_json_fields(e, "i j", True, where)) for where, e in entries)
+        beta = [_json_fields(e, "beta", False, where)[0] for where, e in entries]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
+    fields = {"intercept": intercept, "standard_error": se}
     fields.update((f"coefficients[{m}].beta", b) for m, b in enumerate(beta))
     for name, value in fields.items():
         if not np.isfinite(value):
             raise ValueError(f"model field {name} is {value}, not a finite number")
     return SurfaceModel(
-        intercept=fields["intercept"],
+        intercept=intercept,
         coefficients=np.array(beta),
-        standard_error=fields["standard_error"],
-        dof=int(fields["dof"]),
+        standard_error=se,
+        dof=dof,
         diff=DifferenceSet(positions=positions),
     )
 

@@ -55,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .preprocess import _classify, _sign_sums, _split, fix_variables, merge_assignment
+from .preprocess import _fold, _scan, _sign_parts, _split, fix_variables, merge_assignment
 from .qubo import BinarySolution, QuboInstance, _sequential_sum, _terms, evaluate
 
 PROVEN_OPTIMAL = "proven_optimal"
@@ -325,7 +325,7 @@ def _greedy_ascent(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray
     x = np.zeros(n, dtype=np.int8)
     if n == 0:
         return 0.0, x
-    _delta, bit, strict = _classify(diag, *_sign_sums(off))
+    _delta, bit, strict = _scan(diag, off)
     x[strict & (bit == 1)] = 1
     for _step in range(4 * n):
         s = diag + 2.0 * (off @ x.astype(float))
@@ -340,21 +340,17 @@ def _greedy_ascent(diag: np.ndarray, off: np.ndarray) -> tuple[float, np.ndarray
 class _Searches:
     """The branch-and-bound searches ``_bnb_lockstep`` advances, one row each.
 
-    A search's root off-diagonal part ``off`` is stored once and never
-    copied per node; when roots hold elements of both signs, its negative
-    and positive elements are stored apart as well, for ``sign_sums``.  A
-    node is its folded diagonals, the free positions of its root, the bits
-    fixed on its path and its constant, kept on its search's stack.  A
-    search also keeps its incumbent and its root's tie tolerance.  Searches
-    are compacted to the first ``len(ids)`` rows as they finish; rows past
-    that are stale.
+    A search's root off-diagonal part ``off`` is stored once, with its
+    ``preprocess._sign_parts``, and never copied per node.  A node is its
+    folded diagonals, the free positions of its root, the bits fixed on its
+    path and its constant, kept on its search's stack.  A search also keeps
+    its incumbent and its root's tie tolerance.  Searches are compacted to
+    the first ``len(ids)`` rows as they finish; rows past that are stale.
     """
 
     def __init__(self, roots: Sequence[QuboInstance], leaf_cap: int):
         k = len(roots)
         m = max(inst.n for inst in roots)
-        offs = [inst.vals[inst.rows != inst.cols] for inst in roots]
-        signs = [sign for sign in (-1.0, 1.0) if any((sign * v > 0.0).any() for v in offs)]
         self.ids = np.arange(k)
         self.nodes = np.zeros(k, dtype=np.int64)
         self.closed = np.ones(k, dtype=bool)
@@ -362,10 +358,6 @@ class _Searches:
         self.inc_val = np.empty(k)
         self.inc_bits = np.zeros((k, m), dtype=np.int8)
         self.off = np.zeros((k, m, m))
-        # the elements of each sign present; stored apart only when both are
-        self.parts = {sign: self.off for sign in signs}
-        if len(signs) == 2:
-            self.parts = {sign: np.zeros((k, m, m)) for sign in signs}
         depth = max(m - leaf_cap, 0) + 1  # one more than the branchings on a path
         self.stack_d = np.zeros((k, depth, m))
         self.stack_free = np.zeros((k, depth, m), dtype=bool)
@@ -378,12 +370,9 @@ class _Searches:
             self.tol[s] = _tie_tolerance(np.concatenate([diag, off.reshape(-1)]))
             self.inc_val[s], self.inc_bits[s, :f] = _greedy_ascent(diag, off)
             self.off[s, :f, :f] = off
-            for sign, part in self.parts.items():
-                if part is not self.off:
-                    clip = np.minimum if sign < 0.0 else np.maximum
-                    clip(off, 0.0, out=part[s, :f, :f])
             self.stack_d[s, 0, :f] = diag
             self.stack_free[s, 0, :f] = True
+        self.parts = _sign_parts(self.off)
 
     def compact(self) -> int:
         """Move the searches with a pending node to the first rows; return their count."""
@@ -398,44 +387,6 @@ class _Searches:
                         arr[row] = arr[old]
             self.ids = self.ids[live]
         return live.size
-
-    @staticmethod
-    def column_sums(part: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        """Sums over the rows of ``part`` that ``mask`` selects, in ascending row order.
-
-        Rows are added one at a time (the sum does not run along the fast
-        axis), and a masked row is skipped, so each sum equals the sum
-        ``_sign_sums`` and ``_fold_fixed`` take over the compacted matrix.
-        """
-        return np.add.reduce(part[: mask.shape[0]], axis=1, where=mask[:, :, None])
-
-    def sign_sums(self, free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``_sign_sums`` of every row's free submatrix, on the padded rows."""
-        sums = {sign: 2.0 * self.column_sums(part, free) for sign, part in self.parts.items()}
-        zero = np.zeros(free.shape)
-        return sums.get(-1.0, zero), sums.get(1.0, zero)
-
-    def fold(self, d, free, x, val) -> tuple:
-        """``preprocess._fold`` of every row's node, one round for all rows at a time.
-
-        Each round classifies the free variables with ``_classify``.
-        Updates ``x`` in place and returns the folded (d, free, val) with
-        the slack and the positive row sums of the last round, which fixed
-        nothing.
-        """
-        while True:
-            neg, pos = self.sign_sums(free)
-            delta, bit, _strict = _classify(d, neg, pos)
-            one = free & (bit == 1)
-            fixed = free & (bit >= 0)
-            if not fixed.any():
-                return d, free, val, delta, pos
-            s1 = one.astype(float)
-            col = self.column_sums(self.off, one)
-            val = val + ((d * s1).sum(axis=1) + (col * s1).sum(axis=1))
-            d = d + 2.0 * col
-            x[one] = 1
-            free = free & ~fixed
 
     def leaves(self, at: np.ndarray, d, free, x, val) -> None:
         """Score the leaves at rows ``at`` and take each one that beats its incumbent."""
@@ -487,27 +438,27 @@ def _bnb_lockstep(
 
     A search starts from the ``_greedy_ascent`` incumbent.  Each node folds
     the branching decisions into effective diagonals, fixes whatever
-    ``preprocess._classify`` decides for the free submatrix (to a fixpoint,
-    as ``preprocess._fold`` does), bounds the remainder by its
-    positive-element sum, and enumerates it outright with ``_enumerate``,
-    in binary order, once ``min(enum_threshold, _LEAF_BITS)`` or fewer
-    variables are left.  Branching picks the free variable with the
-    largest slack magnitude (the first on a tie), value-1 child first for
-    a nonnegative effective diagonal.  A candidate replaces the incumbent only when it computes
-    more than the root's tie tolerance above it, and a node whose bound
-    cannot do that is pruned.  A pruned leaf is still a node but is not
-    scored: its candidate is at most its bound.
+    ``preprocess._classify`` decides for the free submatrix with
+    ``preprocess._fold``, the fold ``fix_variables`` runs, bounds the
+    remainder by its positive-element sum, and enumerates it outright with
+    ``_enumerate``, in binary order, once ``min(enum_threshold,
+    _LEAF_BITS)`` or fewer variables are left.  Branching picks the free
+    variable with the largest slack magnitude (the first on a tie), value-1
+    child first for a nonnegative effective diagonal.  A candidate replaces
+    the incumbent only when it computes more than the root's tie tolerance
+    above it, and a node whose bound cannot do that is pruned.  A pruned
+    leaf is still a node but is not scored: its candidate is at most its
+    bound.
 
     One loop step pops the current node of every unfinished search, folds
-    all of them with one batched product per fixing round, scores every
-    leaf reached in the step with one ``_enumerate`` call and pushes the
-    children of every other node its bound keeps.  Searches share nothing
-    but the deadline, so a root walks the same nodes whatever roots share
-    its batch; a lone ``solve_exact`` is a batch of one.  Row sums run as
-    ``_sign_sums`` runs them; the node constants and bounds add over the
-    batch's padded width, so on float data their rounding can depend on
-    the batch, which the tie tolerances absorb except at a rounding-level
-    tie with a threshold.  Returns (bits, nodes, closed) per root.
+    all of them together, scores every leaf reached in the step with one
+    ``_enumerate`` call and pushes the children of every other node its
+    bound keeps.  Searches share nothing but the deadline, so a root walks
+    the same nodes whatever roots share its batch; a lone ``solve_exact``
+    is a batch of one.  The node constants and bounds add over the batch's
+    padded width, so on float data their rounding can depend on the batch,
+    which the tie tolerances absorb except at a rounding-level tie with a
+    threshold.  Returns (bits, nodes, closed) per root.
     """
     leaf_cap = min(enum_threshold, _LEAF_BITS)
     st = _Searches(roots, leaf_cap)
@@ -522,7 +473,10 @@ def _bnb_lockstep(
         d, free, val = st.stack_d[at], st.stack_free[at], st.stack_val[at]
         x = st.stack_x[at]
         st.nodes[st.ids] += 1
-        d, free, val, delta, pos = st.fold(d, free, x, val)
+        parts = {sign: part[:r] for sign, part in st.parts.items()}
+        rounds, d, free, val, delta, pos = _fold(st.off[:r], d, free, val, parts)
+        for fixed, bit, _strict, _delta in rounds:
+            x[fixed & (bit == 1)] = 1
         positive = np.where(free, np.maximum(d, 0.0), 0.0).sum(axis=1)
         bound = val + (positive + 0.5 * np.where(free, pos, 0.0).sum(axis=1))
         keep = bound > st.inc_val[st.ids] + st.tol[st.ids]
@@ -616,7 +570,7 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
     if n == 0:
         return _finish([(instance, (), HEURISTIC, 0)], t0)[0]
     diag, off = _split(instance)
-    _delta, bit, strict = _classify(diag, *_sign_sums(off))
+    _delta, bit, strict = _scan(diag, off)
     start_one = strict & (bit == 1)
     free = ~strict
     rng = np.random.default_rng(config.seed)

@@ -1,9 +1,10 @@
-"""Shared fixtures: worked instances and an independent brute-force oracle."""
+"""Shared fixtures: worked instances, an independent brute-force oracle and the reference fold."""
 
 import numpy as np
 import pytest
 
 from qrobust import QuboInstance, ScenarioGenerators
+from qrobust.preprocess import _classify
 
 # 5-variable sensitivity demo: variable 3 is diagonally dominant with slack 8,
 # the unique maximum is 288 at (0, 1, 0, 1, 1).
@@ -65,6 +66,19 @@ def random_instance(rng: np.random.Generator, n: int, density: float) -> QuboIns
     return QuboInstance(n, coeffs)
 
 
+# draws of one coefficient: uniform floats, tenths (which round) and integers
+def uniform(rng) -> float:
+    return float(rng.uniform(-10.0, 10.0))
+
+
+def tenths(rng) -> float:
+    return float(rng.integers(-9, 10)) * 0.1
+
+
+def integers(rng) -> float:
+    return float(rng.integers(-9, 10))
+
+
 def enumerate_all_values(instance: QuboInstance) -> np.ndarray:
     """Objective of every assignment via dense expansion, standard binary order.
 
@@ -100,3 +114,59 @@ def brute_force_optima(instance: QuboInstance) -> tuple[float, list[tuple[int, .
         for t in np.where(vals == best)[0]
     ]
     return best, winners
+
+
+# The reference fold: the compacted fold the package ran before it kept one
+# masked, batched fold (``preprocess._fold``).  Each round cuts the fixed
+# variables out of the matrix, so its row sums run over ever smaller dense
+# matrices, and the tests check the package's fold against it.
+
+
+def _sign_sums(o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The doubled negative and positive row sums N and P of the ``preprocess`` docstring.
+
+    They are taken as column sums of the symmetric, compacted ``o``, which
+    numpy adds up one row at a time, so each runs in ascending index order.
+    """
+    return 2.0 * np.minimum(o, 0.0).sum(axis=0), 2.0 * np.maximum(o, 0.0).sum(axis=0)
+
+
+def _fold_fixed(
+    d: np.ndarray, o: np.ndarray, bit: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Fold the variables with ``bit`` 0 or 1 out of (d, o) as ``reduce_instance`` does.
+
+    Returns the constant, the survivors' positions and their (d, o).  The
+    folded diagonals add column sums in ascending index order, as
+    ``_sign_sums`` does.
+    """
+    keep = (bit < 0).nonzero()[0]
+    s1 = (bit == 1).nonzero()[0]
+    ones = o.take(s1, axis=0)
+    constant = float(d[s1].sum() + ones.take(s1, axis=1).sum())
+    d = d[keep] + (2.0 * ones.sum(axis=0)[keep] if s1.size else 0.0)
+    return constant, keep, d, o.take(keep, axis=0).take(keep, axis=1)
+
+
+def _fold(d: np.ndarray, o: np.ndarray, constant: float = 0.0) -> tuple:
+    """Fix whatever ``_classify`` decides and fold it out, repeating to a fixpoint.
+
+    Each round classifies the survivors against the current folded matrix
+    and fixes all that a rule decides at once.  Returns (steps, constant,
+    survivors, d, o, delta): one (positions, bits, strict, deltas) step per
+    fixing round in ascending position, ``constant`` plus every round's
+    constant, the survivors' positions and folded (d, o), and their slack
+    in the final scan, which fixed nothing.  Positions index the input.
+    """
+    survivors = np.arange(d.size)
+    steps = []
+    while True:
+        delta, bit, strict = _classify(d, *_sign_sums(o))
+        fixed = bit >= 0
+        if not fixed.any():
+            return steps, constant, survivors, d, o, delta
+        hit = fixed.nonzero()[0]
+        steps.append((survivors[hit], bit[hit], strict[hit], delta[hit]))
+        step, keep, d, o = _fold_fixed(d, o, bit)
+        constant += step
+        survivors = survivors[keep]

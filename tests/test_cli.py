@@ -2,12 +2,13 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
 from conftest import make_business_generators, make_demo5
 from qrobust import format_instance
-from qrobust.cli import main
+from qrobust.cli import _solver_config, build_parser, main
 from qrobust.design import generators_to_json
 
 DEMO5_TEXT = format_instance(make_demo5())
@@ -404,3 +405,145 @@ class TestFitAndBoundCommands:
         optimum = float(lines[1].split(",")[1])
         assert float(lines[1].split(",")[3]) >= optimum  # surface bound
         assert float(lines[1].split(",")[4]) >= optimum  # positive-sum bound
+
+
+def lines(edit):
+    """An edit of a document's lines."""
+    return lambda text: "\n".join(edit(text.splitlines())) + "\n"
+
+
+def field(path, value):
+    """An edit of a JSON document that sets the field at ``path`` to ``value``."""
+
+    def edit(text):
+        doc = json.loads(text)
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        return json.dumps(doc)
+
+    return edit
+
+
+def drop_last_coefficient(text):
+    doc = json.loads(text)
+    doc["coefficients"].pop()
+    return json.dumps(doc)
+
+
+def first_entry(row, value):
+    return ",".join([value, *row.split(",")[1:]])
+
+
+def third_entry(row, value):
+    cols = row.split(",")
+    return ",".join([*cols[:2], value, *cols[3:]])
+
+
+SOLVE = ["solve", "--in", "{bad}", "--out", "{out}"]
+FIT = ["fit", "--gen", "{gen}", "--out", "{out}"]
+FIT_DESIGN = [*FIT, "--design", "{bad}", "--scenarios", "{scen}"]
+FIT_SCENARIOS = [*FIT, "--design", "{design}", "--scenarios", "{bad}"]
+BOUND_MODEL = ["bound", "--gen", "{gen}", "--model", "{bad}", "--validate", "2", "--out", "{out}"]
+ANALYZE_GEN = ["analyze", "--gen", "{bad}", "--mode", "exact", "--out", "{out}"]
+FIT_GEN = ["fit", "--gen", "{bad}", "--out", "{out}"]
+BOUND_GEN = ["bound", "--gen", "{bad}", "--validate", "2", "--out", "{out}"]
+
+# (id, good file the bad one is edited from or None, edit, argv, error text)
+REFUSALS = [
+    ("bad_header", None, lambda _: "2\n", SOLVE, "line 1: expected header 'n m'"),
+    ("negative_count", None, lambda _: "2 -1\n", SOLVE, "line 1: entry count must be >= 0"),
+    ("extra_line", None, lambda _: "2 1\n1 1 3\n2 2 4\n", SOLVE, "line 3: unexpected extra data"),
+    ("malformed_entry", None, lambda _: "2 1\n1 x 3\n", SOLVE, "line 2: malformed entry"),
+    ("empty_instance", None, lambda _: "# nothing\n", SOLVE, "line 1: empty input"),
+    ("empty_design", None, lambda _: "\n", FIT_DESIGN, "empty design document"),
+    ("column_name", "design", lines(lambda r: ["col" + r[0][3:], *r[1:]]), FIT_DESIGN,
+     "line 1: bad design column name 'col_0_0'"),
+    ("design_level", "design", lines(lambda r: [*r[:2], first_entry(r[2], "2"), *r[3:]]),
+     FIT_DESIGN, "line 3: expected 22 entries of +1 or -1"),
+    ("ragged_design", "design", lines(lambda r: [r[0], r[1].rsplit(",", 1)[0], *r[2:]]),
+     FIT_DESIGN, "line 2: expected 22 entries of +1 or -1"),
+    ("design_columns", "design", lines(lambda r: [ln.rsplit(",", 1)[0] for ln in r]), FIT_DESIGN,
+     "design columns do not match"),
+    ("scenario_columns", "scen", lines(lambda r: [*r[:3], r[3] + ",x", *r[4:]]), FIT_SCENARIOS,
+     "line 4: expected 'index,bits,value,status'"),
+    ("scenario_value", "scen", lines(lambda r: [*r[:3], third_entry(r[3], "abc"), *r[4:]]),
+     FIT_SCENARIOS, "line 4: non-numeric value 'abc'"),
+    ("design_alone", None, None, [*FIT, "--design", "{design}"],
+     "--design and --scenarios must be given together"),
+    ("negative_standard_error", "model", field(["standard_error"], -1.0), BOUND_MODEL,
+     "standard_error must be >= 0"),
+    ("negative_dof", "model", field(["dof"], -2), BOUND_MODEL, "dof must be >= 0"),
+    ("coefficient_count", "model", drop_last_coefficient, BOUND_MODEL,
+     "model coefficients do not match"),
+]
+
+# JSON fields of the wrong type, which the readers once truncated or converted
+STRICT_JSON = [
+    ("dof_float", "model", field(["dof"], 2.5), BOUND_MODEL,
+     "model field dof is 2.5, not an integer"),
+    ("dof_bool", "model", field(["dof"], True), BOUND_MODEL,
+     "model field dof is True, not an integer"),
+    ("dof_string", "model", field(["dof"], "3"), BOUND_MODEL,
+     "model field dof is '3', not an integer"),
+    ("coefficient_index", "model", field(["coefficients", 0, "i"], 0.0), BOUND_MODEL,
+     "model field coefficients[0].i is 0.0, not an integer"),
+    ("beta_string", "model", field(["coefficients", 1, "beta"], "1.5"), BOUND_MODEL,
+     "model field coefficients[1].beta is '1.5', not a number"),
+    ("n_float", "gen", field(["n"], 9.9), ANALYZE_GEN, "generators field n is 9.9, not an integer"),
+    ("n_bool", "gen", field(["n"], True), FIT_GEN, "generators field n is True, not an integer"),
+    ("i_float", "gen", field(["entries", 0, "i"], 0.7), BOUND_GEN,
+     "generators field entries[0].i is 0.7, not an integer"),
+    ("a_bool", "gen", field(["entries", 0, "a"], True), ANALYZE_GEN,
+     "generators field entries[0].a is True, not a number"),
+    ("b_string", "gen", field(["entries", 0, "b"], "2"), FIT_GEN,
+     "generators field entries[0].b is '2', not a number"),
+]
+
+
+@pytest.fixture
+def artifacts(business_file, tmp_path, capsys):
+    """Good generators, design, scenarios and model files of the business example."""
+    files = {"gen": business_file, "out": str(tmp_path / "out"), "bad": str(tmp_path / "bad")}
+    for name in ("design", "scen", "model"):
+        files[name] = str(tmp_path / f"good_{name}")
+    assert main(["design", "--gen", business_file, "--out", files["design"]]) == 0
+    assert main(
+        ["analyze", "--gen", business_file, "--mode", "exact", "--scenarios", files["scen"]]
+    ) == 0
+    assert main(
+        ["fit", "--gen", business_file, "--design", files["design"], "--scenarios", files["scen"],
+         "--out", files["model"]]
+    ) == 0
+    capsys.readouterr()
+    return files
+
+
+def refused(artifacts, capsys, source, edit, argv, error):
+    """Run ``argv`` on an edited input: exit 2, ``error`` named, no output file."""
+    if edit is not None:
+        good = "" if source is None else Path(artifacts[source]).read_text()
+        Path(artifacts["bad"]).write_text(edit(good))
+    assert main([arg.format(**artifacts) for arg in argv]) == 2
+    assert error in capsys.readouterr().err
+    assert not Path(artifacts["out"]).exists()
+
+
+@pytest.mark.parametrize("source, edit, argv, error", [c[1:] for c in REFUSALS],
+                         ids=[c[0] for c in REFUSALS])
+def test_refusals_name_the_line_or_field(artifacts, capsys, source, edit, argv, error):
+    refused(artifacts, capsys, source, edit, argv, error)
+
+
+@pytest.mark.parametrize("source, edit, argv, error", [c[1:] for c in STRICT_JSON],
+                         ids=[c[0] for c in STRICT_JSON])
+def test_json_fields_must_have_their_type(artifacts, capsys, source, edit, argv, error):
+    refused(artifacts, capsys, source, edit, argv, error)
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_zero_or_less_lifts_the_limit(budget):
+    args = build_parser().parse_args(["solve", "--in", "x.txt", "--budget", budget])
+    assert _solver_config(args).time_budget is None

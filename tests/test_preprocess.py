@@ -5,7 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import brute_force_optima, random_instance
+from conftest import (
+    _fold,
+    _fold_fixed,
+    brute_force_optima,
+    integers,
+    random_instance,
+    tenths,
+    uniform,
+)
 from qrobust import (
     QuboInstance,
     evaluate,
@@ -16,7 +24,9 @@ from qrobust import (
     reduce_instance,
     sensitivity_report,
 )
-from qrobust.preprocess import _classify, _sign_sums, _split, merge_assignment
+from qrobust.preprocess import _scan, _split, merge_assignment
+from qrobust.qubo import _terms
+from qrobust.solver import _tie_tolerance
 
 
 class TestFixSlack:
@@ -236,8 +246,7 @@ def test_classify_matches_the_rule_read_by_hand():
     rng = np.random.default_rng(7)
     seen = set()
     for inst, isolated in rule_cases(rng, 400):
-        d, o = _split(inst)
-        delta, bit, strict = _classify(d, *_sign_sums(o))
+        delta, bit, strict = _scan(*_split(inst))
         got = list(zip(delta.tolist(), bit.tolist(), strict.tolist()))
         want = rule_by_hand(inst)
         assert got == want
@@ -245,6 +254,64 @@ def test_classify_matches_the_rule_read_by_hand():
         seen.update((b, st) for _s, b, st in want)
     # every rule fired: strict and weak fixes at both bits, and free variables
     assert seen == {(1, True), (0, True), (1, False), (0, False), (-1, False)}
+
+
+def fold_cases(rng, count: int):
+    """Random instances for the fold comparison, with the kind of their data.
+
+    Integer, uniform-float and tenths data.  Some rows are one-signed and
+    some diagonals zero; others are scaled to about their row's absolute
+    sum, so fixing often takes several rounds.
+    """
+    draws = {"integer": integers, "uniform": uniform, "tenths": tenths}
+    for t in range(count):
+        kind = ("integer", "uniform", "tenths")[t % 3]
+        n = int(rng.integers(1, 31))
+        o = np.zeros((n, n))
+        for i, j in zip(*np.triu_indices(n, 1)):
+            if rng.random() < (0.2, 0.5, 0.9)[t % 4 % 3]:
+                o[i, j] = o[j, i] = draws[kind](rng)
+        sign = rng.choice([-1.0, 0.0, 1.0], size=n, p=[0.2, 0.6, 0.2])
+        for i in np.flatnonzero(sign).tolist():
+            o[i] = o[:, i] = sign[i] * np.abs(o[i])
+        d = np.array([draws[kind](rng) for _ in range(n)])
+        big = rng.random(n) < 0.5
+        scale = np.abs(o).sum(axis=1) * rng.uniform(0.5, 2.0, size=n)
+        d[big] = np.sign(d[big]) * np.round(scale[big], 0 if kind == "integer" else 1)
+        d[rng.random(n) < 0.15] = 0.0
+        q = np.triu(o)
+        q[np.diag_indices(n)] = d
+        rows, cols = np.nonzero(q)
+        yield QuboInstance(n, (rows, cols, q[rows, cols])), kind
+
+
+def test_fold_matches_the_compacted_reference():
+    # the package's masked fold against the compacted fold of ``conftest``
+    rng = np.random.default_rng(8)
+    rounds = []
+    for inst, kind in fold_cases(rng, 1200):
+        report = fix_variables(inst)
+        steps, constant, survivors, d, o, _delta = _fold(*_split(inst))
+        fixes = [np.concatenate(part).tolist() for part in zip(*steps)] or [[]] * 4
+        assert report.assignments == tuple(zip(fixes[0], fixes[1]))
+        assert (report.strict, report.deltas) == (tuple(fixes[2]), tuple(fixes[3]))
+        assert report.rounds == len(steps) + 1
+        assert report.index_map == tuple(survivors.tolist())
+        got_d, got_o = _split(report.reduced)
+        assert np.array_equal(got_d, d) and np.array_equal(got_o, o)
+        tol = 0.0 if kind == "integer" else _tie_tolerance(_terms(inst))
+        assert abs(report.constant - constant) <= tol
+        rounds.append(len(steps))
+        # reduce_instance folds given bits as the reference does
+        bit = rng.integers(-1, 2, size=inst.n)
+        fixed = [(i, b) for i, b in enumerate(bit.tolist()) if b >= 0]
+        reduced, folded = reduce_instance(inst, fixed)
+        want, _keep, want_d, want_o = _fold_fixed(*_split(inst), bit)
+        got_d, got_o = _split(reduced)
+        assert np.array_equal(got_d, want_d) and np.array_equal(got_o, want_o)
+        assert abs(folded - want) <= tol
+    # most cases fix something, and many take several rounds
+    assert sum(r > 0 for r in rounds) > 1000 and sum(r > 2 for r in rounds) > 500
 
 
 class TestSensitivityReport:

@@ -1,6 +1,7 @@
 """Coded factors, regression fit, estimates and bound comparison."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qrobust import (
     run_count,
     upper_bound,
 )
-from qrobust.design import DifferenceSet
+from qrobust.design import DesignMatrix, DifferenceSet
 from qrobust.response_surface import (
     SurfaceModel,
     comparison_to_csv,
@@ -117,6 +118,56 @@ class TestFitModel:
         coef, *_ = np.linalg.lstsq(full, y, rcond=None)
         assert abs(model.intercept - coef[0]) <= 1e-9 * max(1.0, abs(coef[0]))
         assert np.allclose(model.coefficients, coef[1:], rtol=1e-9, atol=1e-9)
+
+    def test_sums_run_in_a_fixed_order(self):
+        # every sum of the closed form equals a pure-Python loop bit for bit
+        rng = np.random.default_rng(9)
+        for k, d in ((8, 3), (32, 9), (64, 22), (128, 40)):
+            design = build_design(k, d)
+            diff = DifferenceSet(positions=tuple((0, j) for j in range(d)))
+            y = rng.normal(size=k) * 10.0 ** rng.integers(-3, 4, size=k)
+            model = fit_model(design, y, diff)
+            x = design.levels.tolist()
+            beta = []
+            for m in range(d):
+                total = 0.0
+                for r in range(k):
+                    total += float(x[r][m]) * float(y[r])
+                beta.append(total / k)
+            assert model.coefficients.tolist() == beta
+            squares = 0.0
+            for r in range(k):
+                fitted = 0.0
+                for m in range(d):
+                    fitted += float(x[r][m]) * beta[m]
+                residual = float(y[r]) - (model.intercept + fitted)
+                squares += residual * residual
+            assert model.standard_error == math.sqrt(squares / (k - d - 1))
+            z = rng.uniform(-1.0, 1.0, size=d)
+            total = 0.0
+            for m in range(d):
+                total += beta[m] * float(z[m])
+            assert estimate(model, z) == model.intercept + total
+
+    def test_non_orthogonal_design_takes_least_squares(self):
+        # a +-1 design whose columns are not orthogonal goes to lstsq; its
+        # fit must solve the normal equations (X^t X) c = X^t y
+        rng = np.random.default_rng(10)
+        levels = np.where(rng.random((12, 3)) < 0.5, -1, 1)
+        levels[:, 2] = levels[:, 0]
+        levels[0, 2] = -levels[0, 0]  # columns 0 and 2 nearly equal
+        design = DesignMatrix(k=12, d=3, levels=levels)
+        assert not design.is_orthogonal()
+        diff = DifferenceSet(positions=((0, 0), (0, 1), (1, 1)))
+        y = rng.normal(size=12) * 5.0
+        model = fit_model(design, y, diff)
+        full = np.column_stack([np.ones(12), levels.astype(float)])
+        want = np.linalg.solve(full.T @ full, full.T @ y)
+        got = np.concatenate([[model.intercept], model.coefficients])
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-9)
+        residuals = y - full @ want
+        se = math.sqrt(residuals @ residuals / 8)
+        assert math.isclose(model.standard_error, se, rel_tol=1e-9)
 
     def test_insufficient_dof_rejected(self):
         design = build_design(4, 3)

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import brute_force_max, random_instance
+from conftest import _fold, brute_force_max, integers, random_instance, tenths, uniform
 from qrobust import (
     QuboInstance,
     ScenarioGenerators,
@@ -17,7 +17,7 @@ from qrobust import (
 )
 from qrobust import solver
 from qrobust.pipeline import scenario_instances
-from qrobust.preprocess import _fold, _split, fix_variables, merge_assignment
+from qrobust.preprocess import _split, merge_assignment
 from qrobust.solver import (
     _LEAF_BITS,
     BUDGET_EXHAUSTED,
@@ -350,18 +350,6 @@ class TestEnumerate:
         assert solve_exact(inst).solution.bits == want
 
 
-def uniform(rng) -> float:
-    return float(rng.uniform(-10.0, 10.0))
-
-
-def tenths(rng) -> float:
-    return float(rng.integers(-9, 10)) * 0.1
-
-
-def integers(rng) -> float:
-    return float(rng.integers(-9, 10))
-
-
 def float_generators(rng, n: int, density: float, d: int, draw) -> ScenarioGenerators:
     """``density`` of the positions nonzero, values from ``draw(rng)``; d get a second level."""
     iu, ju = np.triu_indices(n)
@@ -391,13 +379,13 @@ def _bnb(
 
     Each node folds the branching decisions into effective diagonals, fixes
     whatever the fixing rule of ``qrobust.preprocess`` decides for the free
-    submatrix (to a fixpoint, via ``_fold``), bounds the remainder by its
-    positive-element sum, and enumerates outright once few enough variables
-    are left.  Branching picks the free variable with the largest rule
-    slack magnitude, value-1 child first for nonnegative effective
-    diagonals.  A candidate replaces the incumbent only when it computes
-    more than the root's tie tolerance above it, and a node whose bound
-    cannot do that is pruned.
+    submatrix (to a fixpoint, via the reference ``_fold`` of ``conftest``),
+    bounds the remainder by its positive-element sum, and enumerates
+    outright once few enough variables are left.  Branching picks the free
+    variable with the largest rule slack magnitude, value-1 child first for
+    nonnegative effective diagonals.  A candidate replaces the incumbent
+    only when it computes more than the root's tie tolerance above it, and
+    a node whose bound cannot do that is pruned.
     """
     n = diag.size
     leaf_cap = min(enum_threshold, _LEAF_BITS)
@@ -448,15 +436,16 @@ def _bnb(
 def recursive_exact(instance: QuboInstance, config: SolverConfig):
     """``effort`` of an exact solve above ``enum_threshold`` by the reference ``_bnb``.
 
-    ``_bnb`` recurses over a dense copy of each node's submatrix, not the
-    padded arrays of the package's lockstep search, and the two must walk
-    the same nodes.
+    The root is fixed by the reference ``_fold`` too.  ``_bnb`` recurses
+    over a dense copy of each node's submatrix, not the padded arrays of
+    the package's lockstep search, and the two must walk the same nodes.
     """
-    rep = fix_variables(instance)
+    steps, _constant, survivors, d, o, _slack = _fold(*_split(instance))
+    fixed = [(i, b) for positions, bits, _s, _d in steps for i, b in zip(positions, bits)]
     sub_bits, nodes, closed = (), 1, True
-    if rep.reduced.n:
-        sub_bits, nodes, closed = _bnb(*_split(rep.reduced), config.enum_threshold, None)
-    bits = merge_assignment(instance.n, rep.assignments, rep.index_map, sub_bits)
+    if survivors.size:
+        sub_bits, nodes, closed = _bnb(d, o, config.enum_threshold, None)
+    bits = merge_assignment(instance.n, fixed, survivors.tolist(), sub_bits)
     status = PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED
     return (bits, evaluate(instance, bits), status, nodes)
 
