@@ -9,6 +9,8 @@ mates or the worker count, so reports are identical for every ``jobs``.
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -91,6 +93,40 @@ def _seeded(config: SolverConfig, i: int) -> SolverConfig:
     return replace(config, seed=(config.seed + i) % 2**64)
 
 
+# Linux forks its workers, the start method ``_pool_pays`` is calibrated
+# with; Python 3.14 would otherwise default to forkserver there.  Other
+# platforms spawn, their default and the only safe choice there; a spawned
+# worker imports NumPy and this package again, about 0.2 s more, so there
+# the pool starts somewhat before it pays.
+_POOL_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
+
+# Calibration of ``_pool_pays``, exact mode on a 2-core Linux host, k = 64
+# conflict scenarios (CHANGES.md has the table): a scenario's share of one
+# in-process lockstep batch takes about _BNB_SCENARIO_S at n = 44 and
+# doubles every _BNB_DOUBLING_N variables, and each forked pool worker
+# costs about _WORKER_START_S to start, feed and collect.
+_BNB_SCENARIO_S = 1.7e-3
+_BNB_DOUBLING_N = 7.0
+_WORKER_START_S = 0.075
+
+
+def _pool_pays(k: int, n: int, mode: str, jobs: int) -> bool:
+    """Whether ``min(jobs, k)`` workers beat one in-process batch of k scenarios of size n.
+
+    Tabu search shares no work between scenarios, so heuristic mode always
+    takes the pool.  Exact and auto mode take it when the estimated
+    seconds the workers save, ``1 - 1 / workers`` of the in-process batch,
+    exceed what starting them costs.  The estimate reads only its
+    arguments and the module constants above, never the clock, so the
+    choice is the same on every run and every host.
+    """
+    if mode == MODE_HEURISTIC:
+        return True
+    workers = min(jobs, k)
+    batch_s = k * _BNB_SCENARIO_S * 2.0 ** ((n - 44) / _BNB_DOUBLING_N)
+    return batch_s * (1.0 - 1.0 / workers) > workers * _WORKER_START_S
+
+
 def _solve_scenarios(
     instances: Sequence[QuboInstance], config: SolverConfig, jobs: int = 1
 ) -> list[SolveOutcome]:
@@ -98,37 +134,43 @@ def _solve_scenarios(
 
     Enumerable scenarios (mode exact or auto, n at most ``enum_threshold``)
     get one ``solve_batch`` sweep in this process, and ``jobs`` is unused.
-    Otherwise scenario i gets ``solve`` with seed ``seed + i``, in this
-    process when ``jobs`` or k is 1.  With ``jobs > 1`` the k scenarios are
-    cut into ``min(jobs, k)`` contiguous slices of near-equal size, one
-    pool task each, and ``_solve_slice`` solves a slice.  Either way
-    scenario i gets what a lone ``solve`` with seed ``seed + i`` returns,
-    however it was dispatched, except for elapsed time and budgets: a sweep
-    or a slice's branch and bound pools the budgets of its scenarios.
+    Otherwise, when ``jobs`` or k is 1, scenario i gets ``solve`` with seed
+    ``seed + i`` in this process.  With ``jobs > 1``, ``jobs`` is a cap:
+    unless ``_pool_pays``, ``_solve_slice`` solves all k scenarios in this
+    process as one slice; if it pays, the k scenarios are cut into
+    ``min(jobs, k)`` contiguous slices of near-equal size, one task each
+    for a pool of that many worker processes.  Either way scenario i gets
+    what a lone ``solve`` with seed ``seed + i`` returns, however it was
+    dispatched, except for elapsed time and budgets: a sweep or a slice's
+    branch and bound pools the budgets of its scenarios.
     """
     k = len(instances)
-    if config.mode != MODE_HEURISTIC and instances[0].n <= config.enum_threshold:
+    n = instances[0].n
+    if config.mode != MODE_HEURISTIC and n <= config.enum_threshold:
         return solve_batch(instances, config)
-    if jobs > 1 and k > 1:
-        parts = min(jobs, k)
-        cuts = [k * p // parts for p in range(parts + 1)]
-        slices = [instances[a:b] for a, b in zip(cuts, cuts[1:])]
-        with ProcessPoolExecutor(max_workers=parts) as pool:
-            done = pool.map(_solve_slice, slices, [config] * parts, cuts[:-1])
-            return [out for part in done for out in part]
-    return list(map(solve, instances, [_seeded(config, i) for i in range(k)]))
+    if jobs == 1 or k == 1:
+        return list(map(solve, instances, [_seeded(config, i) for i in range(k)]))
+    if not _pool_pays(k, n, config.mode, jobs):
+        return _solve_slice(instances, config, 0)
+    parts = min(jobs, k)
+    cuts = [k * p // parts for p in range(parts + 1)]
+    slices = [instances[a:b] for a, b in zip(cuts, cuts[1:])]
+    with ProcessPoolExecutor(max_workers=parts, mp_context=_POOL_CONTEXT) as pool:
+        done = pool.map(_solve_slice, slices, [config] * parts, cuts[:-1])
+        return [out for part in done for out in part]
 
 
 def _solve_slice(
     instances: Sequence[QuboInstance], config: SolverConfig, first: int
 ) -> list[SolveOutcome]:
-    """One pool task: scenarios ``first``, ``first + 1``, ... above ``enum_threshold``.
+    """Scenarios ``first``, ``first + 1``, ... above ``enum_threshold``, in this process.
 
-    Heuristic mode solves them one by one.  Exact and auto modes search
-    them all with one lockstep branch and bound (``solver._bnb_batch``),
-    which walks each scenario's own search; in auto mode a scenario it
-    leaves ``budget_exhausted`` then falls back to tabu search with seed
-    ``seed + i``, as ``solve`` does.
+    A pool task, or with ``first`` 0 the whole in-process batch of
+    ``_solve_scenarios``.  Heuristic mode solves them one by one.  Exact
+    and auto modes search them all with one lockstep branch and bound
+    (``solver._bnb_batch``), which walks each scenario's own search; in
+    auto mode a scenario it leaves ``budget_exhausted`` then falls back to
+    tabu search with seed ``seed + i``, as ``solve`` does.
     """
     if config.mode == MODE_HEURISTIC:
         return [solve(inst, _seeded(config, first + i)) for i, inst in enumerate(instances)]

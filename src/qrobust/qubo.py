@@ -42,8 +42,12 @@ def _support(n: int, data, width: int, label: str) -> list[np.ndarray]:
     1), or is a tuple (rows, cols, *values) of equal-length 1-D arrays.
     Returns read-only int64 rows and cols and ``width`` float64 value
     arrays, sorted by (i, j), without the positions where every value is
-    zero.  A position outside 0 <= i <= j < n, a repeated position or a
-    NaN or infinite value raises ValueError, naming the ``label``.
+    zero.  Rows and cols given as read-only int64 arrays, already sorted
+    and with no position dropped, are returned as they are, so instances
+    built on one support share it; any other input is copied, and a
+    writable one is never frozen.  A position outside 0 <= i <= j < n, a
+    repeated position or a NaN or infinite value raises ValueError, naming
+    the ``label``.
     """
     if isinstance(data, Mapping):
         keys = np.array(list(data), dtype=np.int64).reshape(-1, 2).T
@@ -65,10 +69,21 @@ def _support(n: int, data, width: int, label: str) -> list[np.ndarray]:
     repeated = np.flatnonzero(np.diff(key[order]) == 0)
     if repeated.size:
         raise ValueError(f"{label} {divmod(int(key[order[repeated[0]]]), n)} is repeated")
-    out = [rows[order], cols[order], *values[:, order]]
+    kept = np.array_equal(order, np.arange(rows.size))
+    out = [a if kept and _read_only(a) else a[order] for a in (rows, cols)]
+    out += list(values[:, order])
     for a in out:
         a.setflags(write=False)
     return out
+
+
+def _read_only(a: np.ndarray) -> bool:
+    """True when neither ``a`` nor any array it views can be written through."""
+    while isinstance(a, np.ndarray):
+        if a.flags.writeable:
+            return False
+        a = a.base
+    return True
 
 
 class _Record:

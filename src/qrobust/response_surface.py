@@ -200,9 +200,12 @@ def compare_bounds(
     Scenario t draws with seed ``seed + t``.  All scenarios are drawn
     first, then solved by ``qrobust.pipeline._solve_scenarios`` in exact
     mode whatever ``solver_config.mode`` says.  Rows are sorted by
-    descending surface-bound gap; rows without a proven optimum keep their
-    bounds but are flagged and excluded from gap statistics (as are zero
-    optima, whose percentage gap is undefined).
+    descending surface-bound gap rounded to 9 decimals, then by draw index
+    t, so gaps that differ only by rounding noise (a surface that fits the
+    design exactly has gaps near 1e-14 %) keep draw order.  Rows without a
+    proven optimum come last; they keep their bounds but are flagged and
+    excluded from gap statistics (as are zero optima, whose percentage gap
+    is undefined).
     """
     if count < 1:
         raise ValueError(f"scenario count must be >= 1, got {count}")
@@ -237,7 +240,8 @@ def compare_bounds(
                 proven=proven,
             )
         )
-    rows.sort(key=lambda r: (r.g_gap_pct is None, -(r.g_gap_pct or 0.0)))
+    # the sort is stable, so rows whose rounded gaps tie keep draw order
+    rows.sort(key=lambda r: (r.g_gap_pct is None, -round(r.g_gap_pct or 0.0, 9)))
     return BoundComparison(rows=tuple(rows))
 
 

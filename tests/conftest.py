@@ -54,6 +54,31 @@ def business_gen() -> ScenarioGenerators:
     return make_business_generators()
 
 
+@pytest.fixture
+def dispatch(request, monkeypatch):
+    """Send analyses above ``enum_threshold`` at jobs > 1 "in process" or to the "pool".
+
+    Parametrize it indirectly with one of the two.  The work estimate of
+    ``pipeline._pool_pays`` keeps the small test analyses in process, and
+    a free worker start makes the pool pay.  Teardown checks that every
+    dispatch took that path.
+    """
+    from qrobust import pipeline
+
+    pooled = request.param == "pool"
+    if pooled:
+        monkeypatch.setattr(pipeline, "_WORKER_START_S", 0.0)
+    rule, choices = pipeline._pool_pays, []
+
+    def recorded(*args):
+        choices.append(rule(*args))
+        return choices[-1]
+
+    monkeypatch.setattr(pipeline, "_pool_pays", recorded)
+    yield request.param
+    assert choices and set(choices) == {pooled}
+
+
 def random_instance(rng: np.random.Generator, n: int, density: float) -> QuboInstance:
     """Random integer instance; coefficients uniform in [-100, 100]."""
     coeffs = {}

@@ -171,8 +171,29 @@ class TestAnalyzeCommand:
         assert "most_robust=" not in captured.out
         assert not report.exists()
 
-    def test_analyze_refuses_an_exhausted_pooled_slice(self, business_file, capsys):
-        # each worker's slice runs out of its pooled budget at once
+    @pytest.mark.parametrize("mode", ["exact", "auto"])
+    def test_worker_count_does_not_change_the_files(self, business_file, tmp_path, monkeypatch, mode):
+        # above the threshold: lone solves at jobs=1, one in-process batch at
+        # jobs 2 and 8, and worker slices once a free start makes the pool pay
+        from qrobust import pipeline
+
+        outputs = []
+        for jobs, start_s in ((1, None), (2, None), (8, None), (2, 0.0), (8, 0.0)):
+            if start_s is not None:
+                monkeypatch.setattr(pipeline, "_WORKER_START_S", start_s)
+            report, scen = tmp_path / f"report{len(outputs)}.json", tmp_path / f"scen{len(outputs)}.csv"
+            code = main(
+                ["analyze", "--gen", business_file, "--mode", mode, "--enum-threshold", "5",
+                 "--jobs", str(jobs), "--out", str(report), "--scenarios", str(scen)]
+            )
+            assert code == 0
+            outputs.append((report.read_bytes(), scen.read_bytes()))
+        assert all(out == outputs[0] for out in outputs)
+
+    @pytest.mark.parametrize("dispatch", ["in-process", "pool"], indirect=True)
+    def test_analyze_refuses_an_exhausted_pooled_slice(self, business_file, capsys, dispatch):
+        # the in-process batch, or each worker's slice, runs out of its
+        # pooled budget at once
         code = main(
             ["analyze", "--gen", business_file, "--mode", "exact", "--jobs", "2",
              "--enum-threshold", "5", "--budget", "1e-9"]

@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+from conftest import random_instance
 from qrobust import (
     QuboInstance,
     ScenarioGenerators,
@@ -161,6 +162,26 @@ class TestInstantiate:
         diff, k, design, instances = scenario_instances(business_gen)
         for r in range(k):
             assert instances[r] == instantiate_scenario(business_gen, diff, design.levels[r])
+
+    def test_scenarios_share_the_generators_support(self):
+        # no level is zero, so every scenario keeps every position
+        gen = perturbed_generators(random_instance(np.random.default_rng(5), 12, 0.5), 0.1)
+        _diff, k, _design, instances = scenario_instances(gen)
+        assert k > 1
+        for inst in instances:
+            assert inst.rows is gen.rows and inst.cols is gen.cols
+        # pickle stores a shared array once
+        apart = [QuboInstance(gen.n, (gen.rows.copy(), gen.cols.copy(), i.vals)) for i in instances]
+        assert len(pickle.dumps(instances)) < len(pickle.dumps(apart))
+
+    def test_a_zero_level_is_dropped_from_its_scenarios_only(self):
+        gen = ScenarioGenerators(2, {(0, 0): (0.0, 3.0), (0, 1): (-1.0, -1.0), (1, 1): (2.0, 5.0)})
+        _diff, _k, design, instances = scenario_instances(gen)
+        for level, inst in zip(design.levels[:, 0], instances):
+            if level == 1:  # level a of (0, 0) is zero
+                assert inst.rows is not gen.rows and (0, 0) not in inst.coefficients
+            else:
+                assert inst.rows is gen.rows and inst.coefficients[(0, 0)] == 3.0
 
     def test_subset_difference_set_keeps_level_a_elsewhere(self, business_gen):
         diff = DifferenceSet(positions=((0, 0), (5, 8)))

@@ -1,5 +1,6 @@
 """Scenario loop, pooling, coverage and determinism."""
 
+import time
 from dataclasses import replace
 
 import pytest
@@ -19,10 +20,11 @@ from qrobust.pipeline import (
     results_to_csv,
     scenario_instances,
 )
-from qrobust import solver
+from qrobust import pipeline, solver
 from qrobust.solver import BUDGET_EXHAUSTED, HEURISTIC, PROVEN_OPTIMAL, SolverConfig
 
 EXACT = SolverConfig(mode="exact")
+DISPATCH = pytest.mark.parametrize("dispatch", ["in-process", "pool"], indirect=True)
 
 
 def test_degenerate_generators_single_scenario():
@@ -61,9 +63,10 @@ def test_worker_count_does_not_change_the_report(business_gen):
     assert results_to_csv(serial_results) == results_to_csv(parallel_results)
 
 
-def test_worker_count_does_not_change_a_pooled_report(business_gen):
-    # above the enumeration threshold each worker searches a slice of the
-    # scenarios in lockstep; at jobs=1 each gets its own solve
+@DISPATCH
+def test_worker_count_does_not_change_a_pooled_report(business_gen, dispatch):
+    # above the enumeration threshold one in-process batch, or each worker's
+    # slice, is searched in lockstep; at jobs=1 each scenario gets its own solve
     config = SolverConfig(mode="exact", enum_threshold=5)
     serial, serial_results = run_robust_analysis(business_gen, config, jobs=1)
     parallel, parallel_results = run_robust_analysis(business_gen, config, jobs=4)
@@ -90,18 +93,27 @@ def test_each_scenario_gets_its_lone_solve(business_gen, config):
         assert (res.solution, res.status) == (lone.solution, lone.status)
 
 
+BNB_CONFIGS = {
+    "exact": SolverConfig(mode="exact", time_budget=None, enum_threshold=5),
+    "auto": SolverConfig(mode="auto", time_budget=None, enum_threshold=5),
+    # the exact attempt runs out at once, so auto falls back to tabu
+    "auto-fallback": SolverConfig(mode="auto", time_budget=1e-9, enum_threshold=5, restarts=2, seed=3),
+}
+
+
+# tabu search always takes the pool, so heuristic mode has no in-process case
 @pytest.mark.parametrize(
-    "config",
+    "config, dispatch",
     [
-        SolverConfig(mode="exact", time_budget=None, enum_threshold=5),
-        SolverConfig(mode="auto", time_budget=None, enum_threshold=5),
-        # the exact attempt runs out at once, so auto falls back to tabu
-        SolverConfig(mode="auto", time_budget=1e-9, enum_threshold=5, restarts=2, seed=3),
-        SolverConfig(mode="heuristic", time_budget=None, restarts=2, seed=7),
+        *(pytest.param(c, "pool", id=name) for name, c in BNB_CONFIGS.items()),
+        *(pytest.param(c, "in-process", id=f"{name}-in-process") for name, c in BNB_CONFIGS.items()),
+        pytest.param(
+            SolverConfig(mode="heuristic", time_budget=None, restarts=2, seed=7), "pool", id="heuristic"
+        ),
     ],
-    ids=["exact", "auto", "auto-fallback", "heuristic"],
+    indirect=["dispatch"],
 )
-def test_pooled_slices_give_each_scenario_its_lone_solve(business_gen, config):
+def test_pooled_slices_give_each_scenario_its_lone_solve(business_gen, config, dispatch):
     _report, results = run_robust_analysis(business_gen, config, jobs=2)
     _diff, _k, _design, instances = scenario_instances(business_gen)
     for i, (res, inst) in enumerate(zip(results, instances)):
@@ -111,7 +123,8 @@ def test_pooled_slices_give_each_scenario_its_lone_solve(business_gen, config):
         assert HEURISTIC in {r.status for r in results}
 
 
-def test_more_workers_than_scenarios(business_gen):
+@DISPATCH
+def test_more_workers_than_scenarios(business_gen, dispatch):
     # two varying positions give k = 4 scenarios for 6 workers
     entries = {key: (a, a) for key, (a, _b) in business_gen.entries.items()}
     entries[(0, 0)] = (-5, 2)
@@ -125,9 +138,11 @@ def test_more_workers_than_scenarios(business_gen):
     assert results_to_csv(serial_results) == results_to_csv(parallel_results)
 
 
-def test_pooled_slices_share_their_budget(business_gen):
-    # each slice's budget ends before its search starts: a scenario that
-    # fixing does not empty is left at its root with its greedy incumbent
+@DISPATCH
+def test_pooled_slices_share_their_budget(business_gen, dispatch):
+    # the batch's or each slice's budget ends before its search starts: a
+    # scenario that fixing does not empty is left at its root with its
+    # greedy incumbent
     config = SolverConfig(mode="exact", time_budget=1e-9, enum_threshold=5)
     _report, results = run_robust_analysis(business_gen, config, jobs=2)
     _diff, _k, _design, instances = scenario_instances(business_gen)
@@ -135,6 +150,27 @@ def test_pooled_slices_share_their_budget(business_gen):
     for res, inst in zip(results, instances):
         assert res.status in (BUDGET_EXHAUSTED, PROVEN_OPTIMAL)
         assert evaluate(inst, res.solution.bits) == res.value
+
+
+def test_the_pool_pays_only_for_heavy_exact_work(monkeypatch):
+    def clock(*_args):
+        raise AssertionError("the dispatch rule read the clock")
+
+    monkeypatch.setattr(time, "perf_counter", clock)
+    pays = pipeline._pool_pays
+    # bnb_scenarios size: 64 scenarios of n = 44 stay in one in-process batch
+    for mode in ("exact", "auto"):
+        assert not pays(64, 44, mode, 2) and not pays(64, 44, mode, 8)
+    # from the break-even n on, every larger n pools; at n = 64 two workers
+    # took 0.41-0.47 s against 0.54-0.76 s in process (CHANGES.md)
+    pooled = [n for n in range(23, 120) if pays(64, n, "exact", 2)]
+    assert pooled == list(range(pooled[0], 120)) and 50 < pooled[0] <= 60
+    assert pays(64, 64, "exact", 2) and pays(64, 64, "auto", 2)
+    # each worker costs its start-up, and fewer scenarios need larger ones
+    assert not pays(64, pooled[0], "exact", 8)
+    assert not pays(16, pooled[0], "exact", 2)
+    # tabu shares no work between scenarios: heuristic mode always pools
+    assert pays(2, 5, "heuristic", 2) and pays(512, 50, "heuristic", 8)
 
 
 def test_enumerated_analysis_shares_one_budget(business_gen, monkeypatch):

@@ -143,6 +143,42 @@ class TestQuboInstance:
         vals[0] = 3.0
         assert vals.flags.writeable
 
+    def test_a_read_only_sorted_support_is_shared(self):
+        rows, cols = np.array([0, 0, 1], dtype=np.int64), np.array([0, 1, 1], dtype=np.int64)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        a = QuboInstance(2, (rows, cols, [1.0, 2.0, 3.0]))
+        b = QuboInstance(2, (rows, cols, [4.0, 5.0, 6.0]))
+        assert a.rows is rows and b.rows is rows and b.cols is cols
+        assert pickle.loads(pickle.dumps([a, b])) == [a, b]
+
+    def test_a_writable_support_is_copied_not_frozen(self):
+        rows, cols = np.array([0, 0, 1], dtype=np.int64), np.array([0, 1, 1], dtype=np.int64)
+        inst = QuboInstance(2, (rows, cols, [1.0, 2.0, 3.0]))
+        assert inst.rows is not rows and not inst.rows.flags.writeable
+        assert rows.flags.writeable and cols.flags.writeable
+        rows[0] = 1
+        assert inst.rows.tolist() == [0, 0, 1]
+
+    def test_a_view_of_a_writable_support_is_copied(self):
+        base = np.array([0, 0, 1], dtype=np.int64)
+        rows = base.view()
+        rows.setflags(write=False)
+        cols = np.array([0, 1, 1], dtype=np.int64)
+        cols.setflags(write=False)
+        inst = QuboInstance(2, (rows, cols, [1.0, 2.0, 3.0]))
+        assert inst.rows is not rows and inst.cols is cols
+        base[0] = 1
+        assert inst.rows.tolist() == [0, 0, 1]
+
+    def test_a_zero_value_is_dropped_from_a_shared_support(self):
+        rows, cols = np.array([0, 0, 1], dtype=np.int64), np.array([0, 1, 1], dtype=np.int64)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        inst = QuboInstance(2, (rows, cols, [1.0, 0.0, 3.0]))
+        assert inst.rows is not rows
+        assert inst.entries() == [((0, 0), 1.0), ((1, 1), 3.0)]
+
     def test_pickle_round_trip(self, demo5):
         again = pickle.loads(pickle.dumps(demo5))
         assert again == demo5 and again.name == "demo5"

@@ -245,6 +245,26 @@ class TestCompareBounds:
             assert row.g_bound == row.g_estimate + 3.0 * model.standard_error
             assert row.possum_bound >= row.optimum
 
+    def test_rounding_noise_does_not_reorder_the_rows(self):
+        # positive entries only: all ones is optimal in every scenario, so
+        # the optimum is linear in the levels, the fit is exact and every
+        # gap is rounding noise near 1e-14 %
+        from dataclasses import replace
+
+        from qrobust import ScenarioGenerators, run_robust_analysis
+
+        gen = ScenarioGenerators(4, {(0, 0): (0.3, 1.7), (1, 1): (2.1, 0.9), (0, 2): (0.7, 0.1),
+                                     (2, 3): (1.3, 2.9), (3, 3): (0.2, 0.2)})
+        diff = differing_elements(gen)
+        _report, results = run_robust_analysis(gen, EXACT)
+        model = fit_model(build_design(run_count(diff.d), diff.d), [r.value for r in results], diff)
+        nudged = replace(model, coefficients=model.coefficients + 1e-13)
+        orders = [
+            [r.label for r in compare_bounds(m, gen, 12, seed=2, solver_config=EXACT).rows]
+            for m in (model, nudged)
+        ]
+        assert orders[0] == orders[1] == [f"s{t}" for t in range(12)]
+
     def test_mean_gap_ordering(self, business_gen):
         model = self.fit_business(business_gen)
         comparison = compare_bounds(model, business_gen, 64, seed=3, solver_config=EXACT)
