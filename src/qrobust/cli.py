@@ -79,8 +79,8 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=10.0,
         help="seconds per solve; <= 0 lifts the limit. Scenarios solved together "
-        "pool their budgets: an enumerated sweep of k scenarios, or a branch-and-bound "
-        "batch or pool slice of k scenarios under analyze --jobs > 1, gets k times this",
+        "pool their budgets: an in-process batch or a worker's slice of k scenarios "
+        "gets k times this",
     )
     parser.add_argument("--restarts", type=int, default=10)
     parser.add_argument("--enum-threshold", type=int, default=22, dest="enum_threshold")
@@ -308,11 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", choices=["average"])
     p.add_argument(
         "--jobs", type=int, default=1,
-        help="at most this many worker processes for scenarios above --enum-threshold "
-        "or in heuristic mode, each solving one contiguous slice of them. In exact and "
-        "auto mode a work estimate from the scenario count and size decides whether "
-        "workers pay; otherwise all scenarios are searched as one in-process batch. "
-        "An enumerated analysis is one in-process sweep",
+        help="at most this many worker processes, each solving one contiguous slice "
+        "of the scenarios. Enumerated scenarios are one in-process batch. Otherwise, "
+        "with 1 each scenario is solved alone; heuristic mode always uses workers; exact "
+        "and auto mode use them when a work estimate from the scenario count and size "
+        "says they pay, else one in-process batch",
     )
     _add_solver_flags(p)
     p.set_defaults(func=cmd_analyze)

@@ -2,9 +2,12 @@
 
 ``_solve_scenarios`` is the one place a set of scenarios is dispatched to
 the solver; the analysis here and the bound check of
-``qrobust.response_surface`` both go through it.  It returns outcomes in
-scenario order, and a scenario's outcome does not depend on its batch
-mates or the worker count, so reports are identical for every ``jobs``.
+``qrobust.response_surface`` both go through it.  The solver picks each
+scenario's engine, and ``_solve_scenarios`` only picks where scenarios
+run: as lone solves, as one in-process batch or on a pool.  It returns
+outcomes in scenario order, and a scenario's outcome does not depend on
+its batch mates or the worker count, so reports are identical for every
+``jobs``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,17 +32,15 @@ from .design import (
 )
 from .qubo import QuboInstance, _terms, evaluate, format_number
 from .solver import (
-    MODE_EXACT,
     MODE_HEURISTIC,
     PROVEN_OPTIMAL,
     BinarySolution,
     SolveOutcome,
     SolverConfig,
-    _bnb_batch,
-    _fall_back,
+    _seeded,
+    _solve_all,
     _tie_tolerance,
     solve,
-    solve_batch,
 )
 
 
@@ -89,25 +90,20 @@ def scenario_instances(
     return diff, k, design, _scenarios(gen, _run_values(gen, diff, levels))
 
 
-def _seeded(config: SolverConfig, i: int) -> SolverConfig:
-    return replace(config, seed=(config.seed + i) % 2**64)
-
-
 # Linux forks its workers, the start method ``_pool_pays`` is calibrated
 # with; Python 3.14 would otherwise default to forkserver there.  Other
-# platforms spawn, their default and the only safe choice there; a spawned
-# worker imports NumPy and this package again, about 0.2 s more, so there
-# the pool starts somewhat before it pays.
+# platforms spawn, their default and the only safe choice there.
 _POOL_CONTEXT = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
 
 # Calibration of ``_pool_pays``, exact mode on a 2-core Linux host, k = 64
-# conflict scenarios (CHANGES.md has the table): a scenario's share of one
+# conflict scenarios (CHANGES.md has the tables): a scenario's share of one
 # in-process lockstep batch takes about _BNB_SCENARIO_S at n = 44 and
-# doubles every _BNB_DOUBLING_N variables, and each forked pool worker
-# costs about _WORKER_START_S to start, feed and collect.
+# doubles every _BNB_DOUBLING_N variables, and a pool worker costs about
+# _WORKER_START_S[start method] to start, feed and collect.  A spawned
+# worker imports NumPy and this package again.
 _BNB_SCENARIO_S = 1.7e-3
 _BNB_DOUBLING_N = 7.0
-_WORKER_START_S = 0.075
+_WORKER_START_S = {"fork": 0.075, "spawn": 0.2}
 
 
 def _pool_pays(k: int, n: int, mode: str, jobs: int) -> bool:
@@ -124,7 +120,8 @@ def _pool_pays(k: int, n: int, mode: str, jobs: int) -> bool:
         return True
     workers = min(jobs, k)
     batch_s = k * _BNB_SCENARIO_S * 2.0 ** ((n - 44) / _BNB_DOUBLING_N)
-    return batch_s * (1.0 - 1.0 / workers) > workers * _WORKER_START_S
+    start_s = _WORKER_START_S[_POOL_CONTEXT.get_start_method()]
+    return batch_s * (1.0 - 1.0 / workers) > workers * start_s
 
 
 def _solve_scenarios(
@@ -132,55 +129,31 @@ def _solve_scenarios(
 ) -> list[SolveOutcome]:
     """Solve scenarios of one size; outcome i belongs to ``instances[i]``.
 
-    Enumerable scenarios (mode exact or auto, n at most ``enum_threshold``)
-    get one ``solve_batch`` sweep in this process, and ``jobs`` is unused.
-    Otherwise, when ``jobs`` or k is 1, scenario i gets ``solve`` with seed
-    ``seed + i`` in this process.  With ``jobs > 1``, ``jobs`` is a cap:
-    unless ``_pool_pays``, ``_solve_slice`` solves all k scenarios in this
-    process as one slice; if it pays, the k scenarios are cut into
-    ``min(jobs, k)`` contiguous slices of near-equal size, one task each
-    for a pool of that many worker processes.  Either way scenario i gets
-    what a lone ``solve`` with seed ``seed + i`` returns, however it was
-    dispatched, except for elapsed time and budgets: a sweep or a slice's
-    branch and bound pools the budgets of its scenarios.
+    Scenario i gets what ``solve`` with seed ``seed + i`` returns, however
+    it was dispatched, apart from elapsed time and budgets: a batch pools
+    the budgets of its scenarios.  The solver picks the engine; this only
+    picks where it runs.  Enumerable scenarios (mode exact or auto, n at
+    most ``enum_threshold``) are one in-process ``_solve_all`` batch, and
+    ``jobs`` is unused.  Otherwise, when ``jobs`` or k is 1, each scenario
+    gets a lone ``solve``.  With ``jobs > 1``, ``jobs`` is a cap: when
+    ``_pool_pays``, the k scenarios are cut into ``min(jobs, k)``
+    contiguous slices of near-equal size, and a pool of that many worker
+    processes runs ``_solve_all`` on each, the slice from scenario a with
+    seed ``seed + a``; else all k are one in-process ``_solve_all`` batch.
     """
     k = len(instances)
     n = instances[0].n
-    if config.mode != MODE_HEURISTIC and n <= config.enum_threshold:
-        return solve_batch(instances, config)
-    if jobs == 1 or k == 1:
+    enumerated = config.mode != MODE_HEURISTIC and n <= config.enum_threshold
+    if not enumerated and (jobs == 1 or k == 1):
         return list(map(solve, instances, [_seeded(config, i) for i in range(k)]))
-    if not _pool_pays(k, n, config.mode, jobs):
-        return _solve_slice(instances, config, 0)
+    if enumerated or not _pool_pays(k, n, config.mode, jobs):
+        return _solve_all(instances, config)
     parts = min(jobs, k)
     cuts = [k * p // parts for p in range(parts + 1)]
     slices = [instances[a:b] for a, b in zip(cuts, cuts[1:])]
     with ProcessPoolExecutor(max_workers=parts, mp_context=_POOL_CONTEXT) as pool:
-        done = pool.map(_solve_slice, slices, [config] * parts, cuts[:-1])
+        done = pool.map(_solve_all, slices, [_seeded(config, a) for a in cuts[:-1]])
         return [out for part in done for out in part]
-
-
-def _solve_slice(
-    instances: Sequence[QuboInstance], config: SolverConfig, first: int
-) -> list[SolveOutcome]:
-    """Scenarios ``first``, ``first + 1``, ... above ``enum_threshold``, in this process.
-
-    A pool task, or with ``first`` 0 the whole in-process batch of
-    ``_solve_scenarios``.  Heuristic mode solves them one by one.  Exact
-    and auto modes search them all with one lockstep branch and bound
-    (``solver._bnb_batch``), which walks each scenario's own search; in
-    auto mode a scenario it leaves ``budget_exhausted`` then falls back to
-    tabu search with seed ``seed + i``, as ``solve`` does.
-    """
-    if config.mode == MODE_HEURISTIC:
-        return [solve(inst, _seeded(config, first + i)) for i, inst in enumerate(instances)]
-    outcomes = _bnb_batch(instances, config)
-    if config.mode == MODE_EXACT:
-        return outcomes
-    return [
-        _fall_back(inst, _seeded(config, first + i), out)
-        for i, (inst, out) in enumerate(zip(instances, outcomes))
-    ]
 
 
 def run_robust_analysis(

@@ -288,7 +288,7 @@ def sensitivity_report(instance: QuboInstance, near_tolerance: float = 0.0) -> S
     ``near_threshold`` marks unfixable variables whose slack magnitude is
     within the tolerance, i.e. those a small coefficient change could pin.
     """
-    if near_tolerance < 0.0:
+    if not near_tolerance >= 0.0:  # refuses NaN too
         raise ValueError(f"near tolerance must be >= 0, got {near_tolerance}")
     d, o = _split(instance)
     delta, bit, _strict = _scan(d, o)

@@ -53,7 +53,12 @@ def _support(n: int, data, width: int, label: str) -> list[np.ndarray]:
         keys = np.array(list(data), dtype=np.int64).reshape(-1, 2).T
         data = (*keys, *np.array(list(data.values()), dtype=np.float64).reshape(len(data), width).T)
     rows, cols, *values = data
-    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    # an unpickled array has a dtype object of its own, which asarray would
+    # answer with a new view
+    rows, cols = (
+        a if isinstance(a, np.ndarray) and a.dtype == np.int64 else np.asarray(a, dtype=np.int64)
+        for a in (rows, cols)
+    )
     values = np.array(values, dtype=np.float64)
     if rows.ndim != 1 or cols.shape != rows.shape or values.shape != (width, rows.size):
         raise ValueError(f"need rows, cols and {width} value arrays, all 1-D of one length")
@@ -78,12 +83,17 @@ def _support(n: int, data, width: int, label: str) -> list[np.ndarray]:
 
 
 def _read_only(a: np.ndarray) -> bool:
-    """True when neither ``a`` nor any array it views can be written through."""
-    while isinstance(a, np.ndarray):
-        if a.flags.writeable:
+    """True when nothing can write ``a``'s memory.
+
+    Every array of its base chain must be read-only, and the chain must
+    end in an array that owns its data or in ``bytes``.  A read-only
+    memoryview may view a writable object, so it is followed to that.
+    """
+    while isinstance(a, (np.ndarray, memoryview)):
+        if isinstance(a, np.ndarray) and a.flags.writeable:
             return False
-        a = a.base
-    return True
+        a = a.base if isinstance(a, np.ndarray) else a.obj
+    return a is None or isinstance(a, bytes)
 
 
 class _Record:
@@ -130,7 +140,7 @@ class QuboInstance(_Record):
         self._freeze(n=n, rows=rows, cols=cols, vals=vals, name=name)
 
     def __reduce__(self):
-        return type(self), (self.n, (self.rows, self.cols, self.vals), self.name)
+        return _unpickled, (self.n, self.rows, self.cols, self.vals, self.name)
 
     @property
     def coefficients(self) -> Mapping[Key, float]:
@@ -166,6 +176,23 @@ class QuboInstance(_Record):
             raise ValueError("matrix must be symmetric")
         rows, cols = np.triu_indices(m.shape[0])
         return cls(m.shape[0], (rows, cols, m[rows, cols]), name=name)
+
+
+def _unpickled(n: int, rows, cols, vals, name) -> QuboInstance:
+    """A pickled ``QuboInstance`` again, sharing its support with its pickled mates.
+
+    Pickle sends an array that several instances share once, but unpickles
+    it writable, so ``_support`` would copy it into every instance.  An
+    array that owns its data or views ``bytes`` (a large one may, under
+    protocol 4) was made by the unpickler and nothing else writes it, so it
+    is frozen and kept.  Under protocol 5 a read-only array comes back
+    read-only, viewing ``bytes`` through another array, and is kept too; an
+    array that views a caller's buffer is copied.
+    """
+    for a in (rows, cols):
+        if a.base is None or isinstance(a.base, bytes):
+            a.setflags(write=False)
+    return QuboInstance(n, (rows, cols, vals), name)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,18 @@
 """Exact and heuristic maximization of the binary quadratic objective.
 
-Three engines share one entry point:
+Three engines share one entry point, ``solve``:
 
 * full enumeration in Gray-code order for small instances,
 * depth-first branch and bound over the preprocessed matrix, bounded by
   the positive-element sum of the free submatrix, for medium instances,
 * multi-start tabu search with 1-flip moves for everything larger.
 
-The exact engines each have one kernel that takes a batch of instances;
-a lone ``solve_exact`` is a batch of one.
+``solve`` picks the engine from the mode and n, and no other module
+does: tabu search in heuristic mode, else enumeration up to
+``enum_threshold`` and branch and bound above it, with a tabu fallback in
+auto mode for an instance the budget leaves unproven (``_fall_back``).
+``solve_batch`` is the exact engines' batch entry, and ``solve_exact`` a
+batch of one; ``_solve_all`` is the batch form of ``solve``.
 
 Branch and bound has one search, ``_bnb_lockstep``.  It keeps one search
 per instance and advances all of them together, one node of each per
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -95,7 +99,8 @@ class SolverConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.enum_threshold < 1:
             raise ValueError("enum_threshold must be >= 1")
-        if self.time_budget is not None and self.time_budget <= 0:
+        # written so that a NaN budget, which would never run out, is refused
+        if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time_budget must be positive or None")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
@@ -111,9 +116,9 @@ class SolveOutcome:
 
     ``nodes_or_iterations`` counts enumerated assignments, branch-and-bound
     nodes or tabu moves.  ``elapsed`` is the wall time in seconds of the
-    solve call that returned the outcome: a batched call (``solve_batch``,
-    ``_bnb_batch``) gives each of its outcomes the time of the whole call,
-    and auto mode's fallback adds the tabu time to the exact attempt's.
+    solve call that returned the outcome: a batched call (``solve_batch``)
+    gives each of its outcomes the time of the whole call, and auto mode's
+    fallback adds the tabu time to the exact attempt's.
     """
 
     solution: BinarySolution
@@ -149,16 +154,17 @@ def _tie_tolerance(terms: np.ndarray) -> np.ndarray:
 def solve_batch(
     instances: Sequence[QuboInstance], config: SolverConfig | None = None
 ) -> list[SolveOutcome]:
-    """Provably optimal solves of equal-size instances by one shared enumeration.
+    """Provably optimal solves of equal-size instances: the exact engines' batch entry.
 
-    Every instance must have the same n, at most ``config.enum_threshold``.
-    One ``_enumerate`` sweep in Gray-code order scores all instances on
-    each chunk of assignments; the tie rule of the module docstring, with
-    each instance's own ``_terms`` tolerance, picks each instance's
-    solution.  The sweep gets ``len(instances) * time_budget`` seconds.
-    When that runs out, every instance returns ``budget_exhausted`` with its
-    best assignment so far.  Chunks come from a fixed cap on their
-    objectives, so memory does not grow with 2^n.
+    Up to ``config.enum_threshold`` one ``_enumerate`` sweep in Gray-code
+    order scores every instance, and the tie rule of the module docstring,
+    with each instance's own ``_terms`` tolerance, picks each solution.
+    Above it, ``fix_variables`` fixes each instance (one it empties is
+    proven at one node) and ``_bnb_lockstep`` searches what remains.  An
+    outcome does not depend on its batch mates, except that the instances
+    share ``len(instances) * time_budget`` seconds; when that runs out,
+    every unfinished instance returns ``budget_exhausted`` with its best
+    assignment so far.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -167,15 +173,23 @@ def solve_batch(
     n = instances[0].n
     if any(inst.n != n for inst in instances):
         raise ValueError("batched instances must share one variable count")
-    if n > config.enum_threshold:
-        raise ValueError(f"n={n} is above enum_threshold={config.enum_threshold}")
     deadline = t0 + len(instances) * config.time_budget if config.time_budget is not None else None
-    d, o = (np.stack(part) for part in zip(*map(_split, instances)))
-    tol = np.array([_tie_tolerance(_terms(inst)) for inst in instances])
-    _values, codes, scanned = _enumerate(d, o, tol, gray=True, deadline=deadline)
-    status = PROVEN_OPTIMAL if scanned == 1 << n else BUDGET_EXHAUSTED
-    bits = [[(c >> v) & 1 for v in range(n)] for c in codes.tolist()]
-    return _finish([(inst, b, status, scanned) for inst, b in zip(instances, bits)], t0)
+    if n <= config.enum_threshold:
+        d, o = (np.stack(part) for part in zip(*map(_split, instances)))
+        tol = np.array([_tie_tolerance(_terms(inst)) for inst in instances])
+        _values, codes, scanned = _enumerate(d, o, tol, gray=True, deadline=deadline)
+        status = PROVEN_OPTIMAL if scanned == 1 << n else BUDGET_EXHAUSTED
+        bits = [[(c >> v) & 1 for v in range(n)] for c in codes.tolist()]
+        return _finish([(inst, b, status, scanned) for inst, b in zip(instances, bits)], t0)
+    reps = [fix_variables(inst) for inst in instances]
+    roots = [rep.reduced for rep in reps if rep.reduced.n]
+    found = iter(_bnb_lockstep(roots, config.enum_threshold, deadline) if roots else ())
+    rows = []
+    for inst, rep in zip(instances, reps):
+        sub_bits, nodes, closed = next(found) if rep.reduced.n else ((), 1, True)
+        bits = merge_assignment(inst.n, rep.assignments, rep.index_map, sub_bits)
+        rows.append((inst, bits, PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED, nodes))
+    return _finish(rows, t0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -511,41 +525,11 @@ def _finish(rows, t0: float) -> list[SolveOutcome]:
 def solve_exact(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:
     """Provably optimal solve: enumeration for small n, else preprocessing + branch and bound.
 
-    Either way it is a batch of one: ``solve_batch`` up to
-    ``enum_threshold``, ``_bnb_batch`` above.  Budget exhaustion is
-    reported through the status, never raised; the incumbent found so far
-    is returned.
+    A batch of one: ``solve_batch([instance], config)[0]``.  Budget
+    exhaustion is reported through the status, never raised; the incumbent
+    found so far is returned.
     """
-    config = config or SolverConfig()
-    if instance.n <= config.enum_threshold:
-        return solve_batch([instance], config)[0]
-    return _bnb_batch([instance], config)[0]
-
-
-def _bnb_batch(instances: Sequence[QuboInstance], config: SolverConfig) -> list[SolveOutcome]:
-    """``solve_exact`` of instances above ``enum_threshold``, searched in lockstep.
-
-    Each instance's variables are fixed by ``fix_variables``; an instance
-    that fixing empties is proven at one node, and ``_bnb_lockstep``
-    searches the reduced instances that remain.  Outcome i equals a lone
-    ``solve_exact(instances[i], config)`` in bits, value, status and node
-    count when neither runs out of budget.  The instances share
-    ``len(instances) * time_budget`` seconds from the start, as a sweep's
-    instances do; when that runs out, every unfinished search returns
-    ``budget_exhausted`` with its incumbent.
-    """
-    t0 = time.perf_counter()
-    budget = config.time_budget
-    deadline = t0 + len(instances) * budget if budget is not None else None
-    reps = [fix_variables(inst) for inst in instances]
-    roots = [rep.reduced for rep in reps if rep.reduced.n]
-    found = iter(_bnb_lockstep(roots, config.enum_threshold, deadline) if roots else ())
-    rows = []
-    for inst, rep in zip(instances, reps):
-        sub_bits, nodes, closed = next(found) if rep.reduced.n else ((), 1, True)
-        bits = merge_assignment(inst.n, rep.assignments, rep.index_map, sub_bits)
-        rows.append((inst, bits, PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED, nodes))
-    return _finish(rows, t0)
+    return solve_batch([instance], config)[0]
 
 
 def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:
@@ -624,30 +608,28 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
 
 
 def solve(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:
-    """Mode dispatch: exact when affordable, tabu search otherwise.
+    """Mode dispatch, as the module docstring states it: an exact attempt, or tabu search.
 
-    In auto mode, small instances are enumerated; larger ones get a branch
-    and bound attempt within the time budget, falling back to the heuristic
-    (keeping whichever solution is better) when the budget runs out.
+    In auto mode an instance above ``enum_threshold`` that the budget
+    leaves unproven falls back to tabu search (``_fall_back``).
     """
     config = config or SolverConfig()
-    if config.mode == MODE_EXACT:
-        return solve_exact(instance, config)
     if config.mode == MODE_HEURISTIC:
         return solve_heuristic(instance, config)
-    if instance.n <= config.enum_threshold:
-        return solve_exact(instance, config)
     return _fall_back(instance, config, solve_exact(instance, config))
 
 
 def _fall_back(instance: QuboInstance, config: SolverConfig, exact: SolveOutcome) -> SolveOutcome:
-    """Auto mode's outcome after an exact attempt above ``enum_threshold``.
+    """The outcome of ``solve`` after the exact attempt ``exact``.
 
-    A proven optimum stands.  Otherwise tabu search runs too, the better
-    solution wins (the exact incumbent on a tie), the status is
-    ``heuristic`` and the effort is the sum of both.
+    It stands when proven, in exact mode, or up to ``enum_threshold``.
+    Otherwise tabu search runs too, the better solution wins (the exact
+    incumbent on a tie), the status is ``heuristic`` and the effort is the
+    sum of both.
     """
-    if exact.status == PROVEN_OPTIMAL:
+    if exact.status == PROVEN_OPTIMAL or config.mode == MODE_EXACT:
+        return exact
+    if instance.n <= config.enum_threshold:
         return exact
     heur = solve_heuristic(instance, config)
     winner = exact if exact.solution.value >= heur.solution.value else heur
@@ -657,3 +639,22 @@ def _fall_back(instance: QuboInstance, config: SolverConfig, exact: SolveOutcome
         nodes_or_iterations=exact.nodes_or_iterations + heur.nodes_or_iterations,
         elapsed=exact.elapsed + heur.elapsed,
     )
+
+
+def _seeded(config: SolverConfig, i: int) -> SolverConfig:
+    """The config of instance i of a batch: seed ``seed + i``, wrapped to 64 bits."""
+    return replace(config, seed=(config.seed + i) % 2**64)
+
+
+def _solve_all(instances: Sequence[QuboInstance], config: SolverConfig) -> list[SolveOutcome]:
+    """The batch form of ``solve``: outcome i is ``solve(instances[i], _seeded(config, i))``.
+
+    Apart from elapsed time and budgets: one ``solve_batch`` pools them.
+    """
+    if config.mode == MODE_HEURISTIC:
+        return [solve_heuristic(inst, _seeded(config, i)) for i, inst in enumerate(instances)]
+    outcomes = solve_batch(instances, config)
+    return [
+        _fall_back(inst, _seeded(config, i), out)
+        for i, (inst, out) in enumerate(zip(instances, outcomes))
+    ]

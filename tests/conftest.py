@@ -67,7 +67,8 @@ def dispatch(request, monkeypatch):
 
     pooled = request.param == "pool"
     if pooled:
-        monkeypatch.setattr(pipeline, "_WORKER_START_S", 0.0)
+        method = pipeline._POOL_CONTEXT.get_start_method()
+        monkeypatch.setitem(pipeline._WORKER_START_S, method, 0.0)
     rule, choices = pipeline._pool_pays, []
 
     def recorded(*args):

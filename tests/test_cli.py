@@ -180,7 +180,8 @@ class TestAnalyzeCommand:
         outputs = []
         for jobs, start_s in ((1, None), (2, None), (8, None), (2, 0.0), (8, 0.0)):
             if start_s is not None:
-                monkeypatch.setattr(pipeline, "_WORKER_START_S", start_s)
+                method = pipeline._POOL_CONTEXT.get_start_method()
+                monkeypatch.setitem(pipeline._WORKER_START_S, method, start_s)
             report, scen = tmp_path / f"report{len(outputs)}.json", tmp_path / f"scen{len(outputs)}.csv"
             code = main(
                 ["analyze", "--gen", business_file, "--mode", mode, "--enum-threshold", "5",
@@ -216,7 +217,7 @@ class TestAnalyzeCommand:
 
         calls = []
         monkeypatch.setattr(pipeline, "solve", lambda *a, **kw: calls.append("solve"))
-        monkeypatch.setattr(pipeline, "solve_batch", lambda *a, **kw: calls.append("batch"))
+        monkeypatch.setattr(pipeline, "_solve_all", lambda *a, **kw: calls.append("batch"))
         # the average reference is solved by the command itself
         monkeypatch.setattr(cli, "solve", lambda *a, **kw: calls.append("reference"))
         for extra in ([], ["--reference", "average"]):
@@ -568,3 +569,27 @@ def test_json_fields_must_have_their_type(artifacts, capsys, source, edit, argv,
 def test_budget_zero_or_less_lifts_the_limit(budget):
     args = build_parser().parse_args(["solve", "--in", "x.txt", "--budget", budget])
     assert _solver_config(args).time_budget is None
+
+
+def test_infinite_budget_lifts_the_limit(demo5_file, capsys):
+    args = build_parser().parse_args(["solve", "--in", demo5_file, "--budget", "inf"])
+    assert _solver_config(args).time_budget == float("inf")
+    assert main(["solve", "--in", demo5_file, "--budget", "inf"]) == 0
+    assert "status=proven_optimal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["solve", "--budget", "nan"], "time_budget must be positive"),
+        (["preprocess", "--tolerance", "nan"], "near tolerance must be >= 0"),
+    ],
+    ids=["budget", "tolerance"],
+)
+def test_nan_is_refused(demo5_file, tmp_path, capsys, argv, error):
+    # NaN compares false both ways, so it would pass a "<= 0" or "< 0"
+    # check and then lift the limit or flag nothing
+    out = tmp_path / "out.json"
+    assert main([argv[0], "--in", demo5_file, *argv[1:], "--out", str(out)]) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()

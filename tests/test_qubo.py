@@ -5,15 +5,17 @@ import pickle
 import numpy as np
 import pytest
 
-from conftest import brute_force_max, random_instance
+from conftest import brute_force_max, make_business_generators, random_instance
 from qrobust import (
     ParseError,
     QuboInstance,
+    ScenarioGenerators,
     evaluate,
     format_instance,
     parse_instance,
     positive_sum_bound,
 )
+from qrobust.pipeline import scenario_instances
 
 
 def loop_evaluate(instance, bits):
@@ -178,6 +180,39 @@ class TestQuboInstance:
         inst = QuboInstance(2, (rows, cols, [1.0, 0.0, 3.0]))
         assert inst.rows is not rows
         assert inst.entries() == [((0, 0), 1.0), ((1, 1), 3.0)]
+
+    @pytest.mark.parametrize("size", ["small", "large"])
+    def test_unpickled_scenarios_share_one_support(self, size):
+        # no entry is zero at either level, so every scenario has the whole
+        # support; protocol 4 unpickles a large array as a view on bytes
+        if size == "small":
+            gen = make_business_generators()
+            gen = ScenarioGenerators(gen.n, {key: v for key, v in gen.entries.items() if 0.0 not in v})
+        else:
+            entries = {(i, j): (1.0, 1.0) for i in range(40) for j in range(i, 40)}
+            entries.update({(i, i): (1.0, 2.0) for i in range(3)})
+            gen = ScenarioGenerators(40, entries)
+        scenarios = scenario_instances(gen)[3]
+        assert len(scenarios) > 1 and len({id(inst.rows) for inst in scenarios}) == 1
+        for protocol in (4, 5):
+            again = pickle.loads(pickle.dumps(scenarios, protocol=protocol))
+            assert again == scenarios
+            assert len({id(inst.rows) for inst in again}) == 1
+            assert len({id(inst.cols) for inst in again}) == 1
+
+    def test_an_unpickled_view_of_a_caller_buffer_is_copied(self):
+        rows, cols = np.array([0, 0, 1], dtype=np.int64), np.array([0, 1, 1], dtype=np.int64)
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        pair = [QuboInstance(2, (rows, cols, vals)) for vals in ([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])]
+        buffers = []
+        data = pickle.dumps(pair, protocol=5, buffer_callback=buffers.append)
+        caller = [bytearray(buf.raw()) for buf in buffers]
+        again = pickle.loads(data, buffers=caller)
+        assert again == pair and again[0].rows is not again[1].rows
+        for buf in caller:
+            buf[:] = bytes(len(buf))
+        assert again == pair
 
     def test_pickle_round_trip(self, demo5):
         again = pickle.loads(pickle.dumps(demo5))

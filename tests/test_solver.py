@@ -1,6 +1,7 @@
 """Exact enumeration, branch and bound, and the tabu heuristic."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,12 +278,19 @@ class TestSolveBatch:
         for inst, out in zip(scenarios, outcomes):
             assert evaluate(inst, out.solution.bits) == out.solution.value
 
-    def test_rejects_mixed_sizes_and_large_n(self):
+    def test_rejects_mixed_sizes(self):
         with pytest.raises(ValueError):
             solve_batch([QuboInstance(2, {}), QuboInstance(3, {})])
-        with pytest.raises(ValueError):
-            solve_batch([QuboInstance(3, {})], SolverConfig(enum_threshold=2))
         assert solve_batch([]) == []
+
+    def test_searches_above_the_threshold(self):
+        # above enum_threshold the batch is branch and bound, each instance
+        # walking the search the recursive reference walks
+        rng = np.random.default_rng(25)
+        config = SolverConfig(mode="exact", time_budget=None, enum_threshold=5)
+        scenarios = scenario_instances(float_generators(rng, 11, 0.6, 3, tenths))[3]
+        want = [recursive_exact(inst, config) for inst in scenarios]
+        assert effort(solve_batch(scenarios, config)) == want
 
     def test_empty_instance(self):
         out = solve_exact(QuboInstance(0, {}))
@@ -461,7 +469,7 @@ class TestBnbBatch:
         # the batch and each lone solve_exact (a batch of one) walk the
         # searches the recursive reference walks
         want = self.lone(scenarios)
-        assert effort(solver._bnb_batch(scenarios, self.CONFIG)) == want
+        assert effort(solve_batch(scenarios, self.CONFIG)) == want
         assert effort(solve_exact(inst, self.CONFIG) for inst in scenarios) == want
 
     def test_matches_lone_solves_on_float_generators(self):
@@ -485,9 +493,8 @@ class TestBnbBatch:
         rng = np.random.default_rng(35)
         for n, config in ((10, SolverConfig(time_budget=None)), (12, self.CONFIG)):
             scenarios = scenario_instances(float_generators(rng, n, 0.6, 3, integers))[3]
-            call = solve_batch if n <= config.enum_threshold else solver._bnb_batch
             t0 = time.perf_counter()
-            outcomes = call(scenarios, config)
+            outcomes = solve_batch(scenarios, config)
             wall = time.perf_counter() - t0
             assert len(outcomes) > 1
             assert len({out.elapsed for out in outcomes}) == 1
@@ -503,7 +510,7 @@ class TestBnbBatch:
             got = [
                 out
                 for start in range(0, k, size)
-                for out in effort(solver._bnb_batch(scenarios[start : start + size], self.CONFIG))
+                for out in effort(solve_batch(scenarios[start : start + size], self.CONFIG))
             ]
             assert got == want
 
@@ -515,7 +522,7 @@ class TestBnbBatch:
         _diff, _k, _design, scenarios = scenario_instances(gen)
         scenarios = [*scenarios, QuboInstance(12, {(i, i): 1.0 for i in range(12)})]
         config = SolverConfig(mode="exact", time_budget=1e-9, enum_threshold=5)
-        outcomes = solver._bnb_batch(scenarios, config)
+        outcomes = solve_batch(scenarios, config)
         assert outcomes[-1].status == PROVEN_OPTIMAL
         assert outcomes[-1].solution.bits == (1,) * 12
         assert {out.status for out in outcomes[:-1]} == {BUDGET_EXHAUSTED}
@@ -593,3 +600,44 @@ class TestSolveDispatch:
             SolverConfig(enum_threshold=0)
         with pytest.raises(ValueError):
             SolverConfig(tabu_tenure=-1)
+        # a NaN budget would never run out
+        for budget in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                SolverConfig(time_budget=budget)
+        assert SolverConfig(time_budget=float("inf")).time_budget == float("inf")
+
+    @pytest.mark.parametrize(
+        "mode, enum_threshold, budget",
+        [
+            ("heuristic", 22, None),
+            ("heuristic", 22, 1e-9),
+            ("exact", 22, None),
+            ("exact", 5, None),
+            ("auto", 22, None),
+            ("auto", 5, None),
+            ("auto", 5, 1e-9),
+        ],
+        ids=["heuristic", "heuristic-start", "exact-enumerated", "exact-searched",
+             "auto-enumerated", "auto-searched", "auto-fallback"],
+    )
+    def test_a_batch_solves_as_lone_seeded_solves(self, mode, enum_threshold, budget):
+        # the batch from scenario a on, seeded for a, gives what lone solves
+        # with seed seed + i give; seed 2**64 - 3 wraps past 2**64 within the
+        # batch.  A tabu search the budget stops at once returns its seeded
+        # random start, so there every seed shows.
+        rng = np.random.default_rng(36)
+        scenarios = scenario_instances(float_generators(rng, 10, 0.6, 3, integers))[3]
+        assert len(scenarios) > 3
+        for seed in (7, 2**64 - 3):
+            config = SolverConfig(
+                mode=mode, enum_threshold=enum_threshold, time_budget=budget, restarts=2, seed=seed
+            )
+            want = effort(
+                solve(inst, replace(config, seed=(seed + i) % 2**64))
+                for i, inst in enumerate(scenarios)
+            )
+            for a in (0, 3):
+                got = effort(solver._solve_all(scenarios[a:], solver._seeded(config, a)))
+                assert got == want[a:]
+            if budget is not None:
+                assert HEURISTIC in {status for _b, _v, status, _e in want}
