@@ -78,9 +78,10 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
         "--budget",
         type=float,
         default=10.0,
-        help="seconds per solve; <= 0 lifts the limit. Scenarios solved together "
-        "pool their budgets: an in-process batch or a worker's slice of k scenarios "
-        "gets k times this",
+        help="nominal seconds per scenario, never read from the clock: each second "
+        "caps the scenario's own work at 3e7 sweep assignments, 2e3 search nodes or 5e4 "
+        "tabu moves (auto mode's tabu fallback has its own cap and reports nodes plus "
+        "moves); <= 0 lifts the limit",
     )
     parser.add_argument("--restarts", type=int, default=10)
     parser.add_argument("--enum-threshold", type=int, default=22, dest="enum_threshold")

@@ -63,9 +63,9 @@ class PoolEntry:
 class RobustnessReport:
     """Pooled optima over all scenarios.
 
-    ``pool`` is sorted by descending frequency, then descending mean value,
-    then bitstring, so its head is the most robust solution.  ``exactness``
-    is the fraction of scenarios solved to proven optimality.
+    ``pool`` is sorted by ``_pool_order``, so its head is the most robust
+    solution.  ``exactness`` is the fraction of scenarios solved to proven
+    optimality.
     """
 
     k: int
@@ -130,16 +130,14 @@ def _solve_scenarios(
     """Solve scenarios of one size; outcome i belongs to ``instances[i]``.
 
     Scenario i gets what ``solve`` with seed ``seed + i`` returns, however
-    it was dispatched, apart from elapsed time and budgets: a batch pools
-    the budgets of its scenarios.  The solver picks the engine; this only
-    picks where it runs.  Enumerable scenarios (mode exact or auto, n at
-    most ``enum_threshold``) are one in-process ``_solve_all`` batch, and
-    ``jobs`` is unused.  Otherwise, when ``jobs`` or k is 1, each scenario
-    gets a lone ``solve``.  With ``jobs > 1``, ``jobs`` is a cap: when
-    ``_pool_pays``, the k scenarios are cut into ``min(jobs, k)``
-    contiguous slices of near-equal size, and a pool of that many worker
-    processes runs ``_solve_all`` on each, the slice from scenario a with
-    seed ``seed + a``; else all k are one in-process ``_solve_all`` batch.
+    it was dispatched, apart from elapsed time.  Enumerable scenarios (mode
+    exact or auto, n at most ``enum_threshold``) are one in-process
+    ``_solve_all`` batch, and ``jobs`` is unused.  Otherwise, when ``jobs``
+    or k is 1, each scenario gets a lone ``solve``.  With ``jobs > 1``,
+    ``jobs`` is a cap: when ``_pool_pays``, the k scenarios are cut into
+    ``min(jobs, k)`` contiguous slices of near-equal size, and a pool of
+    that many worker processes runs ``_solve_all`` on each, the slice from
+    scenario a with seed ``seed + a``; else all k are one in-process batch.
     """
     k = len(instances)
     n = instances[0].n
@@ -154,6 +152,11 @@ def _solve_scenarios(
     with ProcessPoolExecutor(max_workers=parts, mp_context=_POOL_CONTEXT) as pool:
         done = pool.map(_solve_all, slices, [_seeded(config, a) for a in cuts[:-1]])
         return [out for part in done for out in part]
+
+
+def _pool_order(entry: PoolEntry) -> tuple:
+    """The pool's order: descending frequency, then descending mean value, then bitstring."""
+    return (-entry.frequency, -entry.mean_value, entry.bits)
 
 
 def run_robust_analysis(
@@ -192,7 +195,7 @@ def run_robust_analysis(
                 PoolEntry(bits=bits, frequency=len(vals), mean_value=sum(vals) / len(vals))
                 for bits, vals in grouped.items()
             ),
-            key=lambda e: (-e.frequency, -e.mean_value, e.bits),
+            key=_pool_order,
         )
     )
     exactness = sum(1 for r in results if r.status == PROVEN_OPTIMAL) / k
@@ -241,12 +244,10 @@ def coverage(
 
 
 def most_robust(report: RobustnessReport) -> str:
-    """Pool entry with maximal frequency; ties prefer the larger mean value,
-    then the lexicographically smallest bitstring."""
+    """Bits of the pool entry that comes first in ``_pool_order``."""
     if not report.pool:
         raise ValueError("solution pool is empty")
-    winner = min(report.pool, key=lambda e: (-e.frequency, -e.mean_value, e.bits))
-    return winner.bits
+    return min(report.pool, key=_pool_order).bits
 
 
 def report_to_json(report: RobustnessReport) -> dict:

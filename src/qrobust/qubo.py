@@ -46,8 +46,9 @@ def _support(n: int, data, width: int, label: str) -> list[np.ndarray]:
     and with no position dropped, are returned as they are, so instances
     built on one support share it; any other input is copied, and a
     writable one is never frozen.  A position outside 0 <= i <= j < n, a
-    repeated position or a NaN or infinite value raises ValueError, naming
-    the ``label``.
+    repeated position or a NaN or infinite value raises ValueError naming
+    the ``label``; magnitudes (the larger of a position's) whose doubled sum
+    is inf raise one too, as an objective could overflow to NaN.
     """
     if isinstance(data, Mapping):
         keys = np.array(list(data), dtype=np.int64).reshape(-1, 2).T
@@ -68,6 +69,9 @@ def _support(n: int, data, width: int, label: str) -> list[np.ndarray]:
     ):
         if bad.any():
             raise ValueError(f"{label} ({rows[bad.argmax()]}, {cols[bad.argmax()]}) {problem}")
+    with np.errstate(over="ignore"):
+        if 2.0 * np.abs(values).max(axis=0).sum() == np.inf:
+            raise ValueError("coefficients overflow: doubled, their magnitudes sum to inf")
     key = rows * n + cols
     order = np.flatnonzero(values.any(axis=0))
     order = order[np.argsort(key[order], kind="stable")]

@@ -221,7 +221,7 @@ def compare_bounds(
         opt = out.solution.value
         z = code_scenario(gen, diff, inst)
         est = estimate(model, z)
-        gub = est + 3.0 * model.standard_error
+        gub = upper_bound(model, z)
         psb = positive_sum_bound(inst)
         if proven and opt != 0.0:
             g_gap = 100.0 * (gub - opt) / abs(opt)

@@ -1,25 +1,22 @@
 """Exact and heuristic maximization of the binary quadratic objective.
 
-Three engines share one entry point, ``solve``:
-
-* full enumeration in Gray-code order for small instances,
-* depth-first branch and bound over the preprocessed matrix, bounded by
-  the positive-element sum of the free submatrix, for medium instances,
-* multi-start tabu search with 1-flip moves for everything larger.
-
-``solve`` picks the engine from the mode and n, and no other module
-does: tabu search in heuristic mode, else enumeration up to
-``enum_threshold`` and branch and bound above it, with a tabu fallback in
-auto mode for an instance the budget leaves unproven (``_fall_back``).
-``solve_batch`` is the exact engines' batch entry, and ``solve_exact`` a
-batch of one; ``_solve_all`` is the batch form of ``solve``.
+Three engines share one entry point, ``solve``, which picks one from the
+mode and n (no other module does): multi-start tabu search with 1-flip
+moves in heuristic mode, else full enumeration in Gray-code order up to
+``enum_threshold`` and, above it, depth-first branch and bound over the
+preprocessed matrix, bounded by the positive-element sum of the free
+submatrix, with a tabu fallback in auto mode for an instance the budget
+leaves unproven (``_fall_back``).  ``solve_batch`` is the exact engines'
+batch entry, and ``solve_exact`` a batch of one; ``_solve_all`` is the
+batch form of ``solve``.  The budget caps each instance's own work and
+never reads the clock (``SolverConfig``).
 
 Branch and bound has one search, ``_bnb_lockstep``.  It keeps one search
 per instance and advances all of them together, one node of each per
 step, on padded arrays.  Each instance walks its own search, the one it
 walks alone: same nodes, same branching, same incumbent rule, same bits
 (up to the rounding ``_bnb_lockstep`` describes).  Batching only shares
-the numpy calls of a step, and the budget of the batch.
+the numpy calls of a step.
 
 Enumeration has one kernel, ``_enumerate``.  It scores a stack of dense
 matrices of equal width together, a chunk of assignments at a time: the
@@ -76,6 +73,10 @@ _BLOCK_ELEMENTS = 1 << 16
 _LEAF_BITS = 12
 # enumerated bits read from a shared table; the others are folded into its coefficients
 _LOW_BITS = 6
+# work per nominal second of budget, measured on lone solves (CHANGES.md)
+_SWEEP_PER_S = 3.0e7
+_NODES_PER_S = 2.0e3
+_MOVES_PER_S = 5.0e4
 
 
 def _bits(codes: np.ndarray, width: int) -> np.ndarray:
@@ -85,7 +86,13 @@ def _bits(codes: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by all solve paths.  Every run is deterministic in ``seed``."""
+    """Knobs shared by all solve paths.  Every run is deterministic in ``seed``.
+
+    ``time_budget`` is nominal seconds per instance (None: no limit); it
+    never reads the clock but caps the instance's own ``nodes_or_iterations``
+    at, per second, 3e7 assignments a sweep scans, 2e3 nodes a search
+    visits or 5e4 tabu moves across restarts (``_cap``).
+    """
 
     mode: str = MODE_AUTO
     enum_threshold: int = 22
@@ -109,16 +116,21 @@ class SolverConfig:
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 unsigned bits")
 
+    def _cap(self, per_s: float) -> float:
+        """The work the budget allows one instance, at ``per_s`` per nominal second."""
+        return np.inf if self.time_budget is None else self.time_budget * per_s
+
 
 @dataclass(frozen=True)
 class SolveOutcome:
     """One instance's solution, status and effort.
 
     ``nodes_or_iterations`` counts enumerated assignments, branch-and-bound
-    nodes or tabu moves.  ``elapsed`` is the wall time in seconds of the
-    solve call that returned the outcome: a batched call (``solve_batch``)
-    gives each of its outcomes the time of the whole call, and auto mode's
-    fallback adds the tabu time to the exact attempt's.
+    nodes or tabu moves, the work the budget caps; auto mode's fallback adds
+    its tabu moves to the search's nodes.  ``elapsed`` is the wall time in
+    seconds of the solve call that returned the outcome: a batched call
+    (``solve_batch``) gives each of its outcomes the time of the whole
+    call, and auto mode's fallback adds the tabu time to the exact attempt's.
     """
 
     solution: BinarySolution
@@ -161,10 +173,9 @@ def solve_batch(
     with each instance's own ``_terms`` tolerance, picks each solution.
     Above it, ``fix_variables`` fixes each instance (one it empties is
     proven at one node) and ``_bnb_lockstep`` searches what remains.  An
-    outcome does not depend on its batch mates, except that the instances
-    share ``len(instances) * time_budget`` seconds; when that runs out,
-    every unfinished instance returns ``budget_exhausted`` with its best
-    assignment so far.
+    outcome does not depend on its batch mates: each instance has its own
+    cap, and one that reaches it unproven returns ``budget_exhausted`` with
+    its best assignment so far.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -173,17 +184,16 @@ def solve_batch(
     n = instances[0].n
     if any(inst.n != n for inst in instances):
         raise ValueError("batched instances must share one variable count")
-    deadline = t0 + len(instances) * config.time_budget if config.time_budget is not None else None
     if n <= config.enum_threshold:
         d, o = (np.stack(part) for part in zip(*map(_split, instances)))
         tol = np.array([_tie_tolerance(_terms(inst)) for inst in instances])
-        _values, codes, scanned = _enumerate(d, o, tol, gray=True, deadline=deadline)
+        _values, codes, scanned = _enumerate(d, o, tol, True, config._cap(_SWEEP_PER_S))
         status = PROVEN_OPTIMAL if scanned == 1 << n else BUDGET_EXHAUSTED
         bits = [[(c >> v) & 1 for v in range(n)] for c in codes.tolist()]
         return _finish([(inst, b, status, scanned) for inst, b in zip(instances, bits)], t0)
     reps = [fix_variables(inst) for inst in instances]
     roots = [rep.reduced for rep in reps if rep.reduced.n]
-    found = iter(_bnb_lockstep(roots, config.enum_threshold, deadline) if roots else ())
+    found = iter(_bnb_lockstep(roots, config) if roots else ())
     rows = []
     for inst, rep in zip(instances, reps):
         sub_bits, nodes, closed = next(found) if rep.reduced.n else ((), 1, True)
@@ -212,7 +222,7 @@ def _low_table(low: int, gray: bool) -> np.ndarray:
 
 
 def _enumerate(
-    d: np.ndarray, o: np.ndarray, tol: np.ndarray, gray: bool, deadline: float | None = None
+    d: np.ndarray, o: np.ndarray, tol: np.ndarray, gray: bool, cap: float = np.inf
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Maximum of x^t m x over every assignment of each matrix of a stack.
 
@@ -237,13 +247,14 @@ def _enumerate(
     Chunks of blocks hold at most about ``_BLOCK_ELEMENTS`` objectives, so
     memory does not grow with 2^w.  A chunk keeps only each matrix's
     maximum, and an earlier chunk that reaches a later threshold is scored
-    again for that matrix alone.  Past ``deadline`` the sweep stops between
-    chunks.  Returns each matrix's computed value and assignment code at
-    its pick, and the number of assignments scanned per matrix.
+    again for that matrix alone.  Only the first blocks that fit in ``cap``
+    assignments are scanned, at least one.  Returns each matrix's computed
+    value and assignment code at its pick, and the assignments it scanned.
     """
     a, w = d.shape
     low, high = min(w, _LOW_BITS), max(w - _LOW_BITS, 0)
     rows, blocks = 1 << low, 1 << high
+    blocks = max(1, int(min(cap, blocks * rows)) // rows)  # min keeps an infinite cap from int
     table = _low_table(low, gray)
     i, j = _pairs(low)
     hi, hj = _pairs(high)
@@ -317,10 +328,8 @@ def _enumerate(
                             first[s], first_val[s] = g, v
                             break
             best[up] = tops[-1][up]
-        if h1 < blocks and deadline is not None and time.perf_counter() > deadline:
-            break
     codes = first ^ (first >> 1) if gray else first
-    return first_val, codes, h1 * rows
+    return first_val, codes, blocks * rows
 
 
 def _objective(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> float:
@@ -367,7 +376,6 @@ class _Searches:
         m = max(inst.n for inst in roots)
         self.ids = np.arange(k)
         self.nodes = np.zeros(k, dtype=np.int64)
-        self.closed = np.ones(k, dtype=bool)
         self.tol = np.empty(k)
         self.inc_val = np.empty(k)
         self.inc_bits = np.zeros((k, m), dtype=np.int8)
@@ -446,7 +454,7 @@ class _Searches:
 
 
 def _bnb_lockstep(
-    roots: Sequence[QuboInstance], enum_threshold: int, deadline: float | None
+    roots: Sequence[QuboInstance], config: SolverConfig
 ) -> list[tuple[np.ndarray, int, bool]]:
     """Depth-first branch and bound of the ``_split`` of every root, advanced together.
 
@@ -455,7 +463,7 @@ def _bnb_lockstep(
     ``preprocess._classify`` decides for the free submatrix with
     ``preprocess._fold``, the fold ``fix_variables`` runs, bounds the
     remainder by its positive-element sum, and enumerates it outright with
-    ``_enumerate``, in binary order, once ``min(enum_threshold,
+    ``_enumerate``, in binary order, once ``min(config.enum_threshold,
     _LEAF_BITS)`` or fewer variables are left.  Branching picks the free
     variable with the largest slack magnitude (the first on a tie), value-1
     child first for a nonnegative effective diagonal.  A candidate replaces
@@ -467,21 +475,23 @@ def _bnb_lockstep(
     One loop step pops the current node of every unfinished search, folds
     all of them together, scores every leaf reached in the step with one
     ``_enumerate`` call and pushes the children of every other node its
-    bound keeps.  Searches share nothing but the deadline, so a root walks
-    the same nodes whatever roots share its batch; a lone ``solve_exact``
-    is a batch of one.  The node constants and bounds add over the batch's
+    bound keeps.  A search whose next node would pass its cap stops, and
+    each of its pending nodes counts once, so it closed if and only if its
+    count is within the cap.  Searches share nothing, so a root walks the
+    same nodes whatever roots share its batch; a lone ``solve_exact`` is a
+    batch of one.  The node constants and bounds add over the batch's
     padded width, so on float data their rounding can depend on the batch,
     which the tie tolerances absorb except at a rounding-level tie with a
     threshold.  Returns (bits, nodes, closed) per root.
     """
-    leaf_cap = min(enum_threshold, _LEAF_BITS)
+    leaf_cap, cap = min(config.enum_threshold, _LEAF_BITS), config._cap(_NODES_PER_S)
     st = _Searches(roots, leaf_cap)
     while r := st.compact():
-        if deadline is not None and time.perf_counter() > deadline:
-            # every pending node counts once and returns
-            st.nodes[st.ids] += st.top[:r]
-            st.closed[st.ids] = False
-            break
+        out = st.nodes[st.ids] + 1 > cap
+        if out.any():
+            st.nodes[st.ids[out]] += st.top[:r][out]
+            st.top[:r][out] = 0
+            continue
         st.top[:r] -= 1
         at = (np.arange(r), st.top[:r])
         d, free, val = st.stack_d[at], st.stack_free[at], st.stack_val[at]
@@ -502,7 +512,7 @@ def _bnb_lockstep(
         if (keep & ~leaf).any():
             st.branch(np.flatnonzero(keep & ~leaf), d, free, x, val, delta)
     return [
-        (st.inc_bits[s, : inst.n], int(st.nodes[s]), bool(st.closed[s]))
+        (st.inc_bits[s, : inst.n], int(st.nodes[s]), bool(st.nodes[s] <= cap))
         for s, inst in enumerate(roots)
     ]
 
@@ -540,7 +550,7 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
     forced values (dominant at 1, recessive at 0).  A move is tabu for
     ``tabu_tenure`` iterations after it is made unless it would beat the
     incumbent; a restart ends after 10*n moves without improving the
-    incumbent.  Deterministic given the seed.
+    incumbent, and the search at its move cap.  Deterministic given the seed.
 
     The walking objective is maintained incrementally; every claimed
     improvement is re-verified against an exact recomputation so that
@@ -549,20 +559,17 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
-    deadline = t0 + config.time_budget if config.time_budget is not None else None
+    move_cap = config._cap(_MOVES_PER_S)
     n = instance.n
-    if n == 0:
-        return _finish([(instance, (), HEURISTIC, 0)], t0)[0]
     diag, off = _split(instance)
     _delta, bit, strict = _scan(diag, off)
     start_one = strict & (bit == 1)
     free = ~strict
     rng = np.random.default_rng(config.seed)
-    cap = 10 * n
+    stall = 10 * n
     best_val = -np.inf
     best_bits = np.zeros(n, dtype=np.int8)
     moves = 0
-    out_of_time = False
     for _restart in range(config.restarts):
         x = np.zeros(n, dtype=np.int8)
         x[start_one] = 1
@@ -570,15 +577,10 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
         cur = _objective(diag, off, x)
         s = diag + 2.0 * (off @ x.astype(float))
         if cur > best_val:
-            best_val = cur
-            best_bits = x.copy()
+            best_val, best_bits = cur, x.copy()
         tabu_until = np.zeros(n, dtype=np.int64)
-        it = 0
-        stale = 0
-        while stale < cap:
-            if deadline is not None and time.perf_counter() > deadline:
-                out_of_time = True
-                break
+        it = stale = 0
+        while stale < stall and moves + 1 <= move_cap:
             it += 1
             gains = (1.0 - 2.0 * x) * s
             allowed = (tabu_until < it) | (cur + gains > best_val)
@@ -594,15 +596,11 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
             if cur > best_val:
                 # drift guard: trust only an exactly recomputed objective
                 cur = _objective(diag, off, x)
-                if cur > best_val:
-                    best_val = cur
-                    best_bits = x.copy()
-                    stale = 0
-                else:
-                    stale += 1
+            if cur > best_val:
+                best_val, best_bits, stale = cur, x.copy(), 0
             else:
                 stale += 1
-        if out_of_time:
+        if moves + 1 > move_cap:
             break
     return _finish([(instance, best_bits, HEURISTIC, moves)], t0)[0]
 
@@ -633,12 +631,8 @@ def _fall_back(instance: QuboInstance, config: SolverConfig, exact: SolveOutcome
         return exact
     heur = solve_heuristic(instance, config)
     winner = exact if exact.solution.value >= heur.solution.value else heur
-    return SolveOutcome(
-        solution=winner.solution,
-        status=HEURISTIC,
-        nodes_or_iterations=exact.nodes_or_iterations + heur.nodes_or_iterations,
-        elapsed=exact.elapsed + heur.elapsed,
-    )
+    effort = exact.nodes_or_iterations + heur.nodes_or_iterations
+    return SolveOutcome(winner.solution, HEURISTIC, effort, exact.elapsed + heur.elapsed)
 
 
 def _seeded(config: SolverConfig, i: int) -> SolverConfig:
@@ -649,7 +643,7 @@ def _seeded(config: SolverConfig, i: int) -> SolverConfig:
 def _solve_all(instances: Sequence[QuboInstance], config: SolverConfig) -> list[SolveOutcome]:
     """The batch form of ``solve``: outcome i is ``solve(instances[i], _seeded(config, i))``.
 
-    Apart from elapsed time and budgets: one ``solve_batch`` pools them.
+    Apart from elapsed time: every instance has its own caps.
     """
     if config.mode == MODE_HEURISTIC:
         return [solve_heuristic(inst, _seeded(config, i)) for i, inst in enumerate(instances)]

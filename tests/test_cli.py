@@ -2,12 +2,13 @@
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 from conftest import make_business_generators, make_demo5
-from qrobust import format_instance
+from qrobust import format_instance, solver
 from qrobust.cli import _solver_config, build_parser, main
 from qrobust.design import generators_to_json
 
@@ -191,10 +192,35 @@ class TestAnalyzeCommand:
             outputs.append((report.read_bytes(), scen.read_bytes()))
         assert all(out == outputs[0] for out in outputs)
 
+    def test_a_slower_host_changes_no_budgeted_output(self, business_file, tmp_path, capsys,
+                                                      monkeypatch):
+        # enumeration is off and the budget caps each search at 4 nodes, so
+        # some scenarios are proven and the rest fall back to tabu; a clock
+        # that runs 100 times faster, as on a host 100 times slower, changes
+        # no byte, alone or in one batch
+        budget = repr(4.5 / solver._NODES_PER_S)
+        real = time.perf_counter
+        start = real()
+
+        def analyze(jobs):
+            report, scen = tmp_path / "report.json", tmp_path / "scen.csv"
+            code = main(
+                ["analyze", "--gen", business_file, "--enum-threshold", "5", "--budget", budget,
+                 "--jobs", jobs, "--out", str(report), "--scenarios", str(scen)]
+            )
+            return code, capsys.readouterr().out, report.read_bytes(), scen.read_bytes()
+
+        want = analyze("1")
+        assert want[0] == 0
+        assert b"proven_optimal" in want[3] and b"heuristic" in want[3]
+        monkeypatch.setattr(time, "perf_counter", lambda: start + 100.0 * (real() - start))
+        assert analyze("1") == want
+        assert analyze("2") == want
+
     @pytest.mark.parametrize("dispatch", ["in-process", "pool"], indirect=True)
     def test_analyze_refuses_an_exhausted_pooled_slice(self, business_file, capsys, dispatch):
-        # the in-process batch, or each worker's slice, runs out of its
-        # pooled budget at once
+        # in the in-process batch, or in each worker's slice, every search
+        # runs out of its own budget at its root
         code = main(
             ["analyze", "--gen", business_file, "--mode", "exact", "--jobs", "2",
              "--enum-threshold", "5", "--budget", "1e-9"]
@@ -202,12 +228,8 @@ class TestAnalyzeCommand:
         assert code == 2
         assert re.search(r"scenario \d+ is budget_exhausted", capsys.readouterr().err)
 
-    def test_analyze_refuses_an_exhausted_enumeration(self, business_file, capsys, monkeypatch):
-        # a batched sweep runs out for every scenario at once; small blocks
-        # make the deadline checked before the sweep ends
-        from qrobust import solver
-
-        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
+    def test_analyze_refuses_an_exhausted_enumeration(self, business_file, capsys):
+        # a cap below one block stops every sweep after its first block
         code = main(["analyze", "--gen", business_file, "--mode", "exact", "--budget", "1e-9"])
         assert code == 2
         assert "scenario 0 is budget_exhausted" in capsys.readouterr().err
@@ -563,6 +585,24 @@ def test_refusals_name_the_line_or_field(artifacts, capsys, source, edit, argv, 
                          ids=[c[0] for c in STRICT_JSON])
 def test_json_fields_must_have_their_type(artifacts, capsys, source, edit, argv, error):
     refused(artifacts, capsys, source, edit, argv, error)
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["solve", "--in"], "2 3\n1 1 1e308\n2 2 1e308\n1 2 1e308\n"),
+        (["analyze", "--gen"], json.dumps({"n": 2, "entries": [
+            {"i": 0, "j": 0, "a": 1, "b": 1e308}, {"i": 1, "j": 1, "a": 1e308, "b": 2},
+            {"i": 0, "j": 1, "a": -1e308, "b": 3}]})),
+    ],
+    ids=["solve", "analyze"],
+)
+def test_coefficients_that_overflow_are_refused(tmp_path, capsys, argv, text):
+    # doubled, the magnitudes sum to inf, so an objective could be NaN
+    path = tmp_path / "input"
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    assert "coefficients overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("budget", ["0", "-1"])

@@ -141,17 +141,25 @@ def test_more_workers_than_scenarios(business_gen, dispatch):
 
 
 @DISPATCH
-def test_pooled_slices_share_their_budget(business_gen, dispatch):
-    # the batch's or each slice's budget ends before its search starts: a
-    # scenario that fixing does not empty is left at its root with its
-    # greedy incumbent
-    config = SolverConfig(mode="exact", time_budget=1e-9, enum_threshold=5)
+@pytest.mark.parametrize(
+    "nodes, statuses",
+    [(0, {BUDGET_EXHAUSTED}), (4, {BUDGET_EXHAUSTED, PROVEN_OPTIMAL})],
+    ids=["root", "partway"],
+)
+def test_pooled_scenarios_keep_their_own_budget(business_gen, dispatch, nodes, statuses):
+    # each search of the in-process batch or of a worker's slice stops at
+    # its own cap of ``nodes``, as it does alone: below one node at its root
+    # with its greedy incumbent, or after 4 nodes, which proves the
+    # searches of fewer
+    budget = (nodes + 0.5) / solver._NODES_PER_S
+    config = SolverConfig(mode="exact", time_budget=budget, enum_threshold=5)
     _report, results = run_robust_analysis(business_gen, config, jobs=2)
     _diff, _k, _design, instances = scenario_instances(business_gen)
-    assert BUDGET_EXHAUSTED in {r.status for r in results}
+    assert {r.status for r in results} == statuses
     for res, inst in zip(results, instances):
-        assert res.status in (BUDGET_EXHAUSTED, PROVEN_OPTIMAL)
         assert evaluate(inst, res.solution.bits) == res.value
+        lone = solve(inst, config)
+        assert (res.solution, res.status) == (lone.solution, lone.status)
 
 
 def test_the_pool_pays_only_for_heavy_exact_work(monkeypatch):
@@ -189,13 +197,18 @@ def test_spawned_workers_start_later_than_forked_ones(monkeypatch):
     assert pays(2, 5, "heuristic", 2)
 
 
-def test_enumerated_analysis_shares_one_budget(business_gen, monkeypatch):
+def test_enumerated_analysis_caps_each_sweep(business_gen, monkeypatch):
+    # a cap of 300 of the 512 assignments stops every sweep after 4 blocks
+    # of 64, whatever the chunk size
     _diff, _k, _design, instances = scenario_instances(business_gen)
-    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)  # several blocks per sweep
-    _report, results = run_robust_analysis(business_gen, SolverConfig(time_budget=1e-9))
+    config = SolverConfig(time_budget=300 / solver._SWEEP_PER_S)
+    _report, results = run_robust_analysis(business_gen, config)
     assert {r.status for r in results} == {BUDGET_EXHAUSTED}
     for res, inst in zip(results, instances):
         assert evaluate(inst, res.solution.bits) == res.value
+        assert solve(inst, config).solution == res.solution
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)  # one block per chunk
+    assert run_robust_analysis(business_gen, config)[1] == results
     _report, results = run_robust_analysis(business_gen, SolverConfig(time_budget=None))
     assert {r.status for r in results} == {PROVEN_OPTIMAL}
 

@@ -236,6 +236,19 @@ class TestEvaluate:
         inst = QuboInstance(2, {(0, 0): 1, (1, 1): 2, (0, 1): -3})
         assert evaluate(inst, (1, 1)) == -3.0
 
+    def test_coefficients_that_could_overflow_are_refused(self):
+        # doubled, 1e308 is inf, and inf times a zero bit would make the
+        # all-zero assignment score NaN instead of 0.0
+        huge = {(0, 0): 1e308, (1, 1): 1e308, (0, 1): 1e308}
+        with pytest.raises(ValueError, match="overflow"):
+            QuboInstance(2, huge)
+        inst = QuboInstance(2, {key: 2e307 for key in huge})
+        assert evaluate(inst, (0, 0)) == 0.0
+        assert evaluate(inst, (1, 1)) == 8e307
+        # each level alone passes, but a scenario may take the larger of both
+        with pytest.raises(ValueError, match="overflow"):
+            ScenarioGenerators(2, {(0, 0): (8e307, 1.0), (1, 1): (1.0, 8e307)})
+
     def test_dimension_mismatch(self, demo5):
         with pytest.raises(ValueError):
             evaluate(demo5, (0, 1))

@@ -1,6 +1,7 @@
 """Exact enumeration, branch and bound, and the tabu heuristic."""
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from qrobust import (
     solve_exact,
     solve_heuristic,
 )
-from qrobust import solver
+from qrobust import pipeline, solver
 from qrobust.pipeline import scenario_instances
 from qrobust.preprocess import _split, merge_assignment
 from qrobust.solver import (
@@ -269,12 +270,14 @@ class TestSolveBatch:
         assert [bits_of(solve_batch(b, config)) for b in batches] == want
 
     def test_budget_runs_out_for_the_whole_batch(self, monkeypatch):
+        # a cap below one block still scans one block of 64 assignments of
+        # every instance, whatever the chunk size
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
         rng = np.random.default_rng(24)
         _diff, _k, _design, scenarios = scenario_instances(random_generators(rng, 10, 3))
         outcomes = solve_batch(scenarios, SolverConfig(time_budget=1e-9))
         assert {out.status for out in outcomes} == {BUDGET_EXHAUSTED}
-        assert len({out.nodes_or_iterations for out in outcomes}) == 1
+        assert {out.nodes_or_iterations for out in outcomes} == {64}
         for inst, out in zip(scenarios, outcomes):
             assert evaluate(inst, out.solution.bits) == out.solution.value
 
@@ -381,9 +384,8 @@ def _bnb(
     diag: np.ndarray,
     off: np.ndarray,
     enum_threshold: int,
-    deadline: float | None,
-) -> tuple[np.ndarray, int, bool]:
-    """Depth-first branch and bound.  Returns (bits, nodes, closed).
+) -> tuple[np.ndarray, int]:
+    """Depth-first branch and bound, unbudgeted.  Returns (bits, nodes).
 
     Each node folds the branching decisions into effective diagonals, fixes
     whatever the fixing rule of ``qrobust.preprocess`` decides for the free
@@ -399,14 +401,11 @@ def _bnb(
     leaf_cap = min(enum_threshold, _LEAF_BITS)
     tol = float(_tie_tolerance(np.concatenate([diag, off.reshape(-1)])))
     inc_val, inc_bits = _greedy_ascent(diag, off)
-    state = {"val": inc_val, "bits": inc_bits.copy(), "nodes": 0, "closed": True}
+    state = {"val": inc_val, "bits": inc_bits.copy(), "nodes": 0}
     work = np.zeros(n, dtype=np.int8)
 
     def rec(idx: np.ndarray, d: np.ndarray, o: np.ndarray, val: float) -> None:
         state["nodes"] += 1
-        if deadline is not None and time.perf_counter() > deadline:
-            state["closed"] = False
-            return
         steps, val, survivors, d, o, slack = _fold(d, o, val)
         for positions, bits, _strict, _deltas in steps:
             work[idx[positions]] = bits
@@ -438,7 +437,7 @@ def _bnb(
                 rec(idx2, d_off, o2, val)
 
     rec(np.arange(n), diag.astype(float), off, 0.0)
-    return state["bits"], state["nodes"], state["closed"]
+    return state["bits"], state["nodes"]
 
 
 def recursive_exact(instance: QuboInstance, config: SolverConfig):
@@ -450,12 +449,9 @@ def recursive_exact(instance: QuboInstance, config: SolverConfig):
     """
     steps, _constant, survivors, d, o, _slack = _fold(*_split(instance))
     fixed = [(i, b) for positions, bits, _s, _d in steps for i, b in zip(positions, bits)]
-    sub_bits, nodes, closed = (), 1, True
-    if survivors.size:
-        sub_bits, nodes, closed = _bnb(d, o, config.enum_threshold, None)
+    sub_bits, nodes = _bnb(d, o, config.enum_threshold) if survivors.size else ((), 1)
     bits = merge_assignment(instance.n, fixed, survivors.tolist(), sub_bits)
-    status = PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED
-    return (bits, evaluate(instance, bits), status, nodes)
+    return (bits, evaluate(instance, bits), PROVEN_OPTIMAL, nodes)
 
 
 class TestBnbBatch:
@@ -515,8 +511,9 @@ class TestBnbBatch:
             assert got == want
 
     def test_budget_runs_out_for_every_unfinished_search(self):
-        # the batch's budget ends before its first step: every search is
-        # left at its root, while a scenario fixing empties is still proven
+        # a cap below one node leaves every search at its root, which
+        # counts once as a pending node, while a scenario fixing empties is
+        # still proven
         rng = np.random.default_rng(34)
         gen = float_generators(rng, 12, 0.6, 5, integers)
         _diff, _k, _design, scenarios = scenario_instances(gen)
@@ -607,37 +604,57 @@ class TestSolveDispatch:
         assert SolverConfig(time_budget=float("inf")).time_budget == float("inf")
 
     @pytest.mark.parametrize(
-        "mode, enum_threshold, budget",
+        "mode, enum_threshold, budget, cut",
         [
-            ("heuristic", 22, None),
-            ("heuristic", 22, 1e-9),
-            ("exact", 22, None),
-            ("exact", 5, None),
-            ("auto", 22, None),
-            ("auto", 5, None),
-            ("auto", 5, 1e-9),
+            ("heuristic", 22, None, None),
+            ("heuristic", 22, 1e-9, {(HEURISTIC, 0)}),
+            # each restart makes 10 moves, so a cap of 15 stops the second
+            ("heuristic", 22, 15.5 / solver._MOVES_PER_S, {(HEURISTIC, 15)}),
+            ("exact", 22, None, None),
+            # 300 of 1024 assignments: the sweep scans 4 blocks of 64
+            ("exact", 22, 300 / solver._SWEEP_PER_S, {(BUDGET_EXHAUSTED, 256)}),
+            ("exact", 5, None, None),
+            # a search takes 5 or 11 nodes; one capped at 7 has 2 pending
+            ("exact", 5, 7.5 / solver._NODES_PER_S, {(PROVEN_OPTIMAL, 5), (BUDGET_EXHAUSTED, 9)}),
+            ("auto", 22, None, None),
+            ("auto", 5, None, None),
+            # no node and no move fit: the root's count and the better start
+            ("auto", 5, 1e-9, {(HEURISTIC, 1)}),
+            # the capped search's 9 nodes plus a whole tabu walk's 20 moves
+            ("auto", 5, 7.5 / solver._NODES_PER_S, {(PROVEN_OPTIMAL, 5), (HEURISTIC, 29)}),
         ],
-        ids=["heuristic", "heuristic-start", "exact-enumerated", "exact-searched",
-             "auto-enumerated", "auto-searched", "auto-fallback"],
+        ids=["heuristic", "heuristic-start", "heuristic-partway", "exact-enumerated",
+             "exact-enumerated-partway", "exact-searched", "exact-searched-partway",
+             "auto-enumerated", "auto-searched", "auto-fallback", "auto-fallback-partway"],
     )
-    def test_a_batch_solves_as_lone_seeded_solves(self, mode, enum_threshold, budget):
-        # the batch from scenario a on, seeded for a, gives what lone solves
-        # with seed seed + i give; seed 2**64 - 3 wraps past 2**64 within the
+    def test_a_batch_solves_as_lone_seeded_solves(self, mode, enum_threshold, budget, cut):
+        # a batch from scenario a on, seeded for a, and the slices of a
+        # forced pool give what lone solves with seed seed + i give, also
+        # where the budget stops an engine (``cut`` lists each scenario's
+        # status and effort); seed 2**64 - 3 wraps past 2**64 within the
         # batch.  A tabu search the budget stops at once returns its seeded
         # random start, so there every seed shows.
         rng = np.random.default_rng(36)
         scenarios = scenario_instances(float_generators(rng, 10, 0.6, 3, integers))[3]
         assert len(scenarios) > 3
-        for seed in (7, 2**64 - 3):
-            config = SolverConfig(
-                mode=mode, enum_threshold=enum_threshold, time_budget=budget, restarts=2, seed=seed
-            )
-            want = effort(
-                solve(inst, replace(config, seed=(seed + i) % 2**64))
-                for i, inst in enumerate(scenarios)
-            )
-            for a in (0, 3):
-                got = effort(solver._solve_all(scenarios[a:], solver._seeded(config, a)))
-                assert got == want[a:]
-            if budget is not None:
-                assert HEURISTIC in {status for _b, _v, status, _e in want}
+        with ProcessPoolExecutor(max_workers=2, mp_context=pipeline._POOL_CONTEXT) as pool:
+            for seed in (7, 2**64 - 3):
+                config = SolverConfig(
+                    mode=mode, enum_threshold=enum_threshold, time_budget=budget, restarts=2,
+                    seed=seed,
+                )
+                want = effort(
+                    solve(inst, replace(config, seed=(seed + i) % 2**64))
+                    for i, inst in enumerate(scenarios)
+                )
+                for a in (0, 3):
+                    got = effort(solver._solve_all(scenarios[a:], solver._seeded(config, a)))
+                    assert got == want[a:]
+                slices = pool.map(
+                    solver._solve_all,
+                    [scenarios[:3], scenarios[3:]],
+                    [config, solver._seeded(config, 3)],
+                )
+                assert [out for part in slices for out in effort(part)] == want
+                if cut is not None:
+                    assert {(status, e) for _b, _v, status, e in want} == cut
