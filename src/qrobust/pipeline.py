@@ -227,6 +227,8 @@ def coverage(
     tolerance for that scenario: the tie rule may report an assignment up
     to tol below another one's computed value.
     """
+    if not atol >= 0.0:  # refuses NaN too
+        raise ValueError("atol must be >= 0")
     if len(results) != len(scenarios):
         raise ValueError("results and scenarios must align one to one")
     if not scenarios:

@@ -22,9 +22,11 @@ Enumeration has one kernel, ``_enumerate``.  It scores a stack of dense
 matrices of equal width together, a chunk of assignments at a time: the
 low bits of an assignment read one cached table of their values and pair
 products, and the high bits fold into that table's coefficients, so one
-matrix product scores a chunk of every matrix.  ``solve_batch`` sweeps
-its instances in Gray-code order; branch and bound scores its leaves in
-binary order.
+matrix product scores a chunk of every matrix.  It works in two phases:
+the sweep scores and keeps each chunk's maxima, and after it the tie
+rule below is settled once, rescoring only a chunk that holds an earlier
+near-tie.  ``solve_batch`` sweeps its instances in Gray-code order;
+branch and bound scores its leaves in binary order.
 
 Ties are settled by a rule that survives a reordered sum.  Let
 ``tol = nnz * eps * sum|V|``, where ``V`` holds the terms the objective
@@ -244,12 +246,16 @@ def _enumerate(
     bit).  Every term enters once: a diagonal, or an off-diagonal pair
     doubled, which the tie rule of the module docstring needs.
 
-    Chunks of blocks hold at most about ``_BLOCK_ELEMENTS`` objectives, so
-    memory does not grow with 2^w.  A chunk keeps only each matrix's
-    maximum, and an earlier chunk that reaches a later threshold is scored
-    again for that matrix alone.  Only the first blocks that fit in ``cap``
-    assignments are scanned, at least one.  Returns each matrix's computed
-    value and assignment code at its pick, and the assignments it scanned.
+    It runs in two phases.  The sweep scores chunks of blocks, each at most
+    about ``_BLOCK_ELEMENTS`` objectives, and keeps each chunk's maximum per
+    matrix and, where a matrix's maximum rises, the earliest index in that
+    chunk within ``tol[s]`` of it.  After the sweep the tie rule is settled
+    once: a matrix whose threshold an earlier chunk already reaches picks
+    in that chunk, scored again as the sweep scored it.  Memory holds one
+    chunk of objectives and one maximum per chunk per matrix.  Only the
+    first blocks that fit in ``cap`` assignments are scanned, at least
+    one.  Returns each matrix's computed value and assignment code at its
+    pick, and the assignments it scanned.
     """
     a, w = d.shape
     low, high = min(w, _LOW_BITS), max(w - _LOW_BITS, 0)
@@ -281,7 +287,7 @@ def _enumerate(
         return (coef.reshape(-1, len(table)) @ table).reshape(c, h1 - h0, rows)
 
     def earliest(vals: np.ndarray, thr: np.ndarray, h0: int) -> tuple:
-        """Index, value and presence of each row's first objective at or above thr.
+        """Index and value of each row's first objective at or above thr (one exists).
 
         ``vals`` holds blocks from h0 on, rows in table order; an odd block
         runs backwards in Gray order.
@@ -290,44 +296,35 @@ def _enumerate(
         if gray:
             odd = slice((h0 + 1) % 2, None, 2)
             hit[:, odd] = hit[:, odd, ::-1]
-        hit = hit.reshape(len(hit), -1)
-        at = hit.argmax(axis=1)
+        at = hit.reshape(len(hit), -1).argmax(axis=1)
         b, r = np.divmod(at, rows)
         if gray:
             r = np.where((h0 + b) % 2 == 1, rows - 1 - r, r)
-        line = np.arange(len(at))
-        return h0 * rows + at, vals[line, b, r], hit[line, at]
+        return h0 * rows + at, vals[np.arange(len(at)), b, r]
 
     step = max(1, _BLOCK_ELEMENTS // (a * rows))
     best = np.full(a, -np.inf)  # largest computed objective so far
-    first = np.zeros(a, dtype=np.int64)  # earliest index within tol of it
+    first = np.zeros(a, dtype=np.int64)  # earliest index in its chunk within tol of it
     first_val = np.full(a, -np.inf)
-    tops = []  # each chunk's maximum per matrix
-    for h0 in range(0, blocks, step):
-        h1 = min(h0 + step, blocks)
-        vals = scores(h0, h1, slice(None))
-        tops.append(vals.reshape(a, -1).max(axis=1))
-        up = np.flatnonzero(tops[-1] > best)
+    # each matrix's chunk maxima, a row each: a search along a row copies nothing
+    tops = np.empty((a, -(-blocks // step)))
+    for c, h0 in enumerate(range(0, blocks, step)):
+        vals = scores(h0, min(h0 + step, blocks), slice(None))
+        tops[:, c] = vals.reshape(a, -1).max(axis=1)
+        up = np.flatnonzero(tops[:, c] > best)
         if up.size:
-            thr = tops[-1][up] - tol[up]
-            kept, kept_val = first[up], first_val[up]
             rising = vals if up.size == a else vals[up]
-            first[up], first_val[up], _found = earliest(rising, thr, h0)
-            # an earlier assignment within tol of the new maximum still wins
-            for m in np.flatnonzero(best[up] >= thr).tolist():
-                s = slice(up[m], up[m] + 1)
-                if kept_val[m] >= thr[m]:
-                    first[s], first_val[s] = kept[m], kept_val[m]
-                    continue
-                # an earlier chunk that reaches thr is scored again for this
-                # matrix alone; the rescoring's rounding may still miss thr
-                for b0 in range(kept[m] // rows // step * step, h0, step):
-                    if tops[b0 // step][s] >= thr[m]:
-                        g, v, found = earliest(scores(b0, b0 + step, s), thr[m : m + 1], b0)
-                        if found[0]:
-                            first[s], first_val[s] = g, v
-                            break
-            best[up] = tops[-1][up]
+            first[up], first_val[up] = earliest(rising, tops[up, c] - tol[up], h0)
+            best[up] = tops[up, c]
+    # the pick lies in the first chunk that reaches thr; where that chunk
+    # comes before the maximum's, it is scored again as the sweep scored
+    # it, the whole stack, so the objectives and their rounding repeat
+    thr = best - tol
+    pick = (tops >= thr[:, None]).argmax(axis=1)
+    for s in np.flatnonzero(pick < tops.argmax(axis=1)).tolist():
+        h0, one = int(pick[s]) * step, slice(s, s + 1)
+        vals = scores(h0, h0 + step, slice(None))[one]
+        first[one], first_val[one] = earliest(vals, thr[one], h0)
     codes = first ^ (first >> 1) if gray else first
     return first_val, codes, blocks * rows
 
@@ -548,9 +545,11 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
     Restarts begin from a seeded random assignment in which the variables
     the fixing rule of ``qrobust.preprocess`` fixes strictly take their
     forced values (dominant at 1, recessive at 0).  A move is tabu for
-    ``tabu_tenure`` iterations after it is made unless it would beat the
-    incumbent; a restart ends after 10*n moves without improving the
-    incumbent, and the search at its move cap.  Deterministic given the seed.
+    ``min(tabu_tenure, n - 1)`` iterations after it is made unless it would
+    beat the incumbent, so at most n - 1 variables are tabu at once and
+    some move is always allowed; a restart ends after 10*n moves without
+    improving the incumbent, and the search at its move cap.  Deterministic
+    given the seed.
 
     The walking objective is maintained incrementally; every claimed
     improvement is re-verified against an exact recomputation so that
@@ -566,7 +565,7 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
     start_one = strict & (bit == 1)
     free = ~strict
     rng = np.random.default_rng(config.seed)
-    stall = 10 * n
+    stall, tenure = 10 * n, min(config.tabu_tenure, max(n - 1, 0))
     best_val = -np.inf
     best_bits = np.zeros(n, dtype=np.int8)
     moves = 0
@@ -584,14 +583,12 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
             it += 1
             gains = (1.0 - 2.0 * x) * s
             allowed = (tabu_until < it) | (cur + gains > best_val)
-            if not allowed.any():
-                break
             cand = np.where(allowed, gains, -np.inf)
             i = int(np.argmax(cand))
             cur += float(gains[i])
             s = s + (2.0 if x[i] == 0 else -2.0) * off[:, i]
             x[i] = 1 - x[i]
-            tabu_until[i] = it + config.tabu_tenure
+            tabu_until[i] = it + tenure
             moves += 1
             if cur > best_val:
                 # drift guard: trust only an exactly recomputed objective

@@ -263,6 +263,16 @@ class TestCoverage:
         _diff, _k, _design, instances = scenario_instances(gen)
         assert coverage(results, instances, (1, 1), atol=4.0) == 100.0
 
+    def test_nan_or_negative_atol_is_refused(self):
+        # a NaN atol would compare false and read every scenario as a miss
+        gen = ScenarioGenerators(1, {(0, 0): (5, -3)})
+        _report, results = run_robust_analysis(gen, EXACT)
+        _diff, _k, _design, instances = scenario_instances(gen)
+        assert coverage(results, instances, (1,)) == 50.0
+        for atol in (float("nan"), -1.0):
+            with pytest.raises(ValueError):
+                coverage(results, instances, (1,), atol=atol)
+
     def test_length_mismatch(self, business_gen):
         report, results = run_robust_analysis(business_gen, EXACT)
         _diff, _k, _design, instances = scenario_instances(business_gen)

@@ -193,7 +193,10 @@ def reversed_instance(instance: QuboInstance) -> QuboInstance:
 
 
 class TestSolveBatch:
-    def test_matches_a_gray_walk(self):
+    @pytest.mark.parametrize("block_elements", [solver._BLOCK_ELEMENTS, 64], ids=["default", "64"])
+    def test_matches_a_gray_walk(self, monkeypatch, block_elements):
+        # at 64, one block per chunk, so Gray-order chunks meet the walk
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", block_elements)
         rng = np.random.default_rng(21)
         for n in range(1, 13):
             for d in (0, 1 + n % 3):
@@ -359,6 +362,33 @@ class TestEnumerate:
         assert solve_exact(inst).solution.bits == want
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
         assert solve_exact(inst).solution.bits == want
+
+    def test_near_ties_of_a_stack_settle_in_their_own_chunks(self, monkeypatch):
+        # one block of 64 binary indices per chunk; x6, x7 and x8 alone sit
+        # at indices 64, 128 and 256, chunks 1, 2 and 4.  Each matrix scores
+        # three variables alone at 1, 1 + 0.6 tol and 1 + 1.2 tol (pairs cut
+        # off, the rest negative): the middle one is the earliest within tol
+        # of the maximum, in chunk 0, 1 or 2 before the maximum's chunk 2 or
+        # 4.  The last matrix has no near-tie.
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
+        width = 9
+        tol = 15 * np.finfo(float).eps * (3.0 + 6.0 + 6000.0)
+        near = (1.0, 1.0 + 0.6 * tol, 1.0 + 1.2 * tol)
+        cases = [((7, 0, 8), near), ((0, 6, 8), near), ((0, 7, 8), near), ((0, 6, 7), near),
+                 ((0, 6, 8), (1.0, 1.0, 2.0))]
+        d, o = np.full((len(cases), width), -1.0), np.zeros((len(cases), width, width))
+        for s, (where, scores) in enumerate(cases):
+            d[s, list(where)] = scores
+            for u, v in ((0, 1), (0, 2), (1, 2)):
+                o[s, where[u], where[v]] = o[s, where[v], where[u]] = -1000.0
+        tols = dense_tolerance(d, o)
+        values, codes, _scanned = _enumerate(d, o, tols, False)
+        want = [1 << where[1] for where, _scores in cases[:-1]] + [1 << 8]
+        assert codes.tolist() == want
+        for s in range(len(cases)):
+            t, value = binary_walk(d[s], o[s], float(tols[s]))
+            alone = _enumerate(d[s : s + 1], o[s : s + 1], tols[s : s + 1], False)
+            assert (codes[s], values[s]) == (t, value) == (alone[1][0], alone[0][0])
 
 
 def float_generators(rng, n: int, density: float, d: int, draw) -> ScenarioGenerators:
@@ -570,6 +600,17 @@ class TestSolveHeuristic:
         out = solve_heuristic(inst, SolverConfig(restarts=3, seed=2, time_budget=None))
         assert evaluate(inst, out.solution.bits) == out.solution.value
 
+    def test_a_restart_within_the_tenure_ends_by_its_stall_rule(self):
+        # n = 4 <= tabu_tenure: the tenure is capped at n - 1 = 3, so some
+        # move is always allowed and each restart runs until it has made
+        # 10 * n = 40 moves without improving the incumbent.  The walk finds
+        # its best at the start, so one restart makes exactly 40 moves.
+        inst = QuboInstance(4, {(0, 0): 1.0, (1, 1): 1.0, (2, 2): 1.0, (3, 3): 1.0})
+        config = SolverConfig(restarts=3, seed=5, time_budget=None)
+        out = solve_heuristic(inst, config)
+        assert out.solution.bits == (1, 1, 1, 1)
+        assert out.nodes_or_iterations == 3 * 40
+
 
 class TestSolveDispatch:
     def test_auto_small_is_exact(self, demo5):
@@ -608,8 +649,9 @@ class TestSolveDispatch:
         [
             ("heuristic", 22, None, None),
             ("heuristic", 22, 1e-9, {(HEURISTIC, 0)}),
-            # each restart makes 10 moves, so a cap of 15 stops the second
-            ("heuristic", 22, 15.5 / solver._MOVES_PER_S, {(HEURISTIC, 15)}),
+            # a restart ends 10 * n = 100 moves after its last improvement,
+            # here after 102 to 109 moves, so a cap of 150 stops the second
+            ("heuristic", 22, 150.5 / solver._MOVES_PER_S, {(HEURISTIC, 150)}),
             ("exact", 22, None, None),
             # 300 of 1024 assignments: the sweep scans 4 blocks of 64
             ("exact", 22, 300 / solver._SWEEP_PER_S, {(BUDGET_EXHAUSTED, 256)}),
@@ -620,8 +662,8 @@ class TestSolveDispatch:
             ("auto", 5, None, None),
             # no node and no move fit: the root's count and the better start
             ("auto", 5, 1e-9, {(HEURISTIC, 1)}),
-            # the capped search's 9 nodes plus a whole tabu walk's 20 moves
-            ("auto", 5, 7.5 / solver._NODES_PER_S, {(PROVEN_OPTIMAL, 5), (HEURISTIC, 29)}),
+            # the capped search's 9 nodes plus a whole tabu walk's 187 moves
+            ("auto", 5, 7.5 / solver._NODES_PER_S, {(PROVEN_OPTIMAL, 5), (HEURISTIC, 196)}),
         ],
         ids=["heuristic", "heuristic-start", "heuristic-partway", "exact-enumerated",
              "exact-enumerated-partway", "exact-searched", "exact-searched-partway",
