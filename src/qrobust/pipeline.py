@@ -30,7 +30,7 @@ from .design import (
     differing_elements,
     run_count,
 )
-from .qubo import QuboInstance, _terms, evaluate, format_number
+from .qubo import QuboInstance, _assignment, _objectives, _stack, format_number
 from .solver import (
     MODE_HEURISTIC,
     PROVEN_OPTIMAL,
@@ -170,46 +170,29 @@ def run_robust_analysis(
     Scenarios are dispatched by ``_solve_scenarios``, which says how
     ``jobs`` and the solver seeds are used.  When ``reference`` bits are
     given, the report also carries their value-match coverage over the
-    scenarios.
+    scenarios; they are checked before any scenario is solved.
     """
     config = solver_config or SolverConfig()
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if reference is not None:
+        _assignment(reference, gen.n, "reference")
     _diff, k, _design, instances = scenario_instances(gen)
     results = [
-        ScenarioResult(
-            scenario_index=i,
-            solution=out.solution,
-            status=out.status,
-            value=out.solution.value,
-        )
+        ScenarioResult(i, out.solution, out.status, out.solution.value)
         for i, out in enumerate(_solve_scenarios(instances, config, jobs))
     ]
-
     grouped: dict[str, list[float]] = {}
     for r in results:
         grouped.setdefault(r.solution.bitstring, []).append(r.value)
-    entries = tuple(
-        sorted(
-            (
-                PoolEntry(bits=bits, frequency=len(vals), mean_value=sum(vals) / len(vals))
-                for bits, vals in grouped.items()
-            ),
-            key=_pool_order,
-        )
-    )
+    pooled = (PoolEntry(bits, len(vals), sum(vals) / len(vals)) for bits, vals in grouped.items())
+    entries = tuple(sorted(pooled, key=_pool_order))
     exactness = sum(1 for r in results if r.status == PROVEN_OPTIMAL) / k
     ref_field = None
     if reference is not None:
         percent = coverage(results, instances, reference)
         ref_field = ("".join(str(int(b)) for b in reference), percent)
-    report = RobustnessReport(
-        k=k,
-        pool=entries,
-        most_robust=entries[0].bits,
-        exactness=exactness,
-        reference=ref_field,
-    )
+    report = RobustnessReport(k, entries, entries[0].bits, exactness, ref_field)
     return report, results
 
 
@@ -233,15 +216,10 @@ def coverage(
         raise ValueError("results and scenarios must align one to one")
     if not scenarios:
         raise ValueError("cannot compute coverage over zero scenarios")
-    if len(reference) != scenarios[0].n:
-        raise ValueError(
-            f"reference length {len(reference)} != n={scenarios[0].n}"
-        )
-    hits = 0
-    for res, inst in zip(results, scenarios):
-        slack = max(atol, float(_tie_tolerance(_terms(inst))))
-        if evaluate(inst, reference) >= res.value - slack:
-            hits += 1
+    x = _assignment(reference, scenarios[0].n, "reference")
+    stack = _stack(scenarios)
+    floor = np.array([res.value for res in results]) - np.maximum(atol, _tie_tolerance(stack[2]))
+    hits = int(np.count_nonzero(_objectives(stack, x) >= floor))
     return 100.0 * hits / len(results)
 
 

@@ -10,9 +10,11 @@ both c_ij and c_ji, hence the doubling; absent entries are exactly zero.
 
 An instance stores its upper triangle as three read-only arrays in COO
 form: ``rows`` and ``cols`` (int64) and ``vals`` (float64), sorted by
-(i, j), without zeros.  ``evaluate`` and ``positive_sum_bound`` add their
-terms one at a time in that (i, j) order, starting from 0.0, so a value
-does not depend on the order the coefficients were given in.
+(i, j), without zeros.  Equal-size instances stack into one term matrix on
+their union support, zero where an instance has no entry (``_stack``).
+Objectives, positive-element sums and tie tolerances add terms in support
+order from 0.0 (``_sequential_sum``), where a zero has no effect, so a
+stacked instance gets the values and tolerance it gets alone.
 """
 
 from __future__ import annotations
@@ -212,18 +214,69 @@ class BinarySolution:
         return "".join(str(b) for b in self.bits)
 
 
+def _stack(instances: Sequence[QuboInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, cols and the (k, U) term matrix of equal-size instances on their union support.
+
+    Row s holds instance s's entries, off-diagonals doubled, zero where it
+    has none.  Instances on one support array skip the search.
+    """
+    first, k = instances[0], len(instances)
+    if any(inst.n != first.n for inst in instances):
+        raise ValueError("batched instances must share one variable count")
+    if all(inst.rows is first.rows and inst.cols is first.cols for inst in instances):
+        rows, cols, vals = first.rows, first.cols, np.array([inst.vals for inst in instances])
+    else:
+        keys = np.concatenate([inst.rows * first.n + inst.cols for inst in instances])
+        union, at = np.unique(keys, return_inverse=True)
+        (rows, cols), vals = np.divmod(union, first.n), np.zeros((k, union.size))
+        who = np.repeat(np.arange(k), [inst.nnz for inst in instances])
+        vals[who, at] = np.concatenate([inst.vals for inst in instances])
+    return rows, cols, np.where(rows == cols, vals, 2.0 * vals)
+
+
+def _splits(stack: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (k, n) and symmetric zero-diagonal off-diagonal parts (k, n, n) of a ``_stack``."""
+    rows, cols, terms = stack
+    d, o = np.zeros((len(terms), n)), np.zeros((len(terms), n, n))
+    on = rows == cols
+    d[:, rows[on]] = terms[:, on]
+    # halving gives back an off-diagonal's stored value exactly
+    o[:, rows, cols] = o[:, cols, rows] = np.where(on, 0.0, 0.5 * terms)
+    return d, o
+
+
 def _terms(instance: QuboInstance) -> np.ndarray:
     """Each stored entry's weight in the objective: off-diagonals doubled."""
-    return np.where(instance.rows == instance.cols, instance.vals, 2.0 * instance.vals)
+    return _stack([instance])[2][0]
 
 
-def _sequential_sum(terms: np.ndarray) -> float:
-    """0.0 + terms[0] + terms[1] + ..., added left to right like a Python loop.
+def _sequential_sum(terms: np.ndarray, axis: int = -1) -> float | np.ndarray:
+    """0.0 + t[0] + t[1] + ... along ``axis``, in order like a Python loop; a float if 1-D.
 
     ``np.add.accumulate`` keeps that order where ``np.sum`` would pair terms
-    up; the leading 0.0 turns an all-negative-zero sum into 0.0 as the loop does.
+    up.  The leading 0.0 makes an all-negative-zero sum 0.0, as the loop
+    does, so a zero term of either sign leaves a sum as it was.
     """
-    return 0.0 + float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
+    t = np.moveaxis(terms, axis, 0)
+    total = 0.0 + (np.add.accumulate(t)[-1] if len(t) else np.zeros(t.shape[1:]))
+    return float(total) if total.ndim == 0 else total
+
+
+def _assignment(bits: Sequence[int], n: int, label: str = "assignment") -> np.ndarray:
+    """``bits`` as floats, once checked to hold n entries, each 0 or 1."""
+    if len(bits) != n:
+        raise ValueError(f"{label} length {len(bits)} != n={n}")
+    x = np.asarray(bits, dtype=np.float64)
+    bad = (x != 0.0) & (x != 1.0)
+    if bad.any():
+        raise ValueError(f"non-binary {label} entry {bits[int(bad.argmax())]!r}")
+    return x
+
+
+def _objectives(stack: tuple, x: np.ndarray) -> np.ndarray:
+    """Objective of each row of a ``_stack`` at the 0/1 rows of ``x``, or at one row for all."""
+    rows, cols, terms = stack
+    return _sequential_sum(terms * (x[..., rows] * x[..., cols]))
 
 
 def evaluate(instance: QuboInstance, bits: Sequence[int]) -> float:
@@ -232,13 +285,7 @@ def evaluate(instance: QuboInstance, bits: Sequence[int]) -> float:
     Off-diagonal coefficients count twice, matching the symmetric-matrix
     quadratic form x^t Q x.  Terms are added in (i, j) order.
     """
-    if len(bits) != instance.n:
-        raise ValueError(f"assignment length {len(bits)} != n={instance.n}")
-    x = np.asarray(bits, dtype=np.float64)
-    bad = (x != 0.0) & (x != 1.0)
-    if bad.any():
-        raise ValueError(f"non-binary assignment entry {bits[int(bad.argmax())]!r}")
-    return _sequential_sum(_terms(instance) * (x[instance.rows] * x[instance.cols]))
+    return float(_objectives(_stack([instance]), _assignment(bits, instance.n))[0])
 
 
 def positive_sum_bound(instance: QuboInstance) -> float:
@@ -249,8 +296,7 @@ def positive_sum_bound(instance: QuboInstance) -> float:
     dropping any term of the objective with x_i = 0 can only remove
     nonpositive contributions.
     """
-    terms = _terms(instance)
-    return _sequential_sum(terms[terms > 0.0])
+    return _sequential_sum(np.maximum(_terms(instance), 0.0))
 
 
 def parse_instance(text: str, name: str | None = None) -> QuboInstance:

@@ -45,7 +45,7 @@ class SurfaceModel:
             raise ValueError(
                 f"coefficient count {beta.shape} != factor count {self.diff.d}"
             )
-        if self.standard_error < 0.0:
+        if not self.standard_error >= 0.0:  # refuses NaN too
             raise ValueError(f"standard_error must be >= 0, got {self.standard_error}")
         if self.dof < 0:
             raise ValueError(f"dof must be >= 0, got {self.dof}")
@@ -115,11 +115,6 @@ def code_scenario(
     return (2.0 * q - (a + b)) / (a - b)
 
 
-def _sums(terms: np.ndarray) -> np.ndarray:
-    """``qubo._sequential_sum`` of each column of ``terms``: row by row, never through BLAS."""
-    return np.array([_sequential_sum(column) for column in terms.T])
-
-
 def fit_model(
     design: DesignMatrix, optima: Sequence[float], diff: DifferenceSet
 ) -> SurfaceModel:
@@ -129,7 +124,7 @@ def fit_model(
     the optima, coefficient m = (column_m . optima) / k.  The orthogonality
     is checked before the shortcut is used; anything else falls back to
     LAPACK's least squares, whose digits depend on the LAPACK build.  The
-    other sums run in a fixed order (``_sums``), never through BLAS.
+    other sums run in order, never through BLAS (``qubo._sequential_sum``).
     ``diff`` names the coefficient position behind each design column.
     """
     y = np.asarray(optima, dtype=float)
@@ -152,13 +147,13 @@ def fit_model(
     with np.errstate(over="ignore", invalid="ignore"):
         if design.is_balanced() and design.is_orthogonal():
             intercept = float(y.mean())
-            beta = _sums(x * y[:, None]) / design.k
+            beta = _sequential_sum(x * y[:, None], axis=0) / design.k
         else:
             full = np.column_stack([np.ones(design.k), x])
             coef, *_ = np.linalg.lstsq(full, y, rcond=None)
             intercept = float(coef[0])
             beta = coef[1:]
-        residuals = y - (intercept + _sums((x * beta).T))
+        residuals = y - (intercept + _sequential_sum(x * beta))
         se = float(np.sqrt(_sequential_sum(residuals * residuals) / dof))
     if not np.isfinite([intercept, se, *beta]).all():
         raise ValueError(f"the fit overflows (intercept {intercept}, standard error {se})")
@@ -178,7 +173,7 @@ def estimate(model: SurfaceModel, z: Sequence[float]) -> float:
         raise ValueError(
             f"coded vector length {zv.shape} != coefficient count {len(model.coefficients)}"
         )
-    if np.any(zv < -1.0 - 1e-9) or np.any(zv > 1.0 + 1e-9):
+    if not np.all((zv >= -1.0 - 1e-9) & (zv <= 1.0 + 1e-9)):  # refuses NaN too
         raise ValueError("coded entries must lie in [-1, +1]")
     return model.intercept + _sequential_sum(model.coefficients * zv)
 

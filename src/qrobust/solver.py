@@ -11,38 +11,29 @@ batch entry, and ``solve_exact`` a batch of one; ``_solve_all`` is the
 batch form of ``solve``.  The budget caps each instance's own work and
 never reads the clock (``SolverConfig``).
 
-Branch and bound has one search, ``_bnb_lockstep``.  It keeps one search
-per instance and advances all of them together, one node of each per
-step, on padded arrays.  Each instance walks its own search, the one it
-walks alone: same nodes, same branching, same incumbent rule, same bits
-(up to the rounding ``_bnb_lockstep`` describes).  Batching only shares
-the numpy calls of a step.
-
-Enumeration has one kernel, ``_enumerate``.  It scores a stack of dense
-matrices of equal width together, a chunk of assignments at a time: the
-low bits of an assignment read one cached table of their values and pair
-products, and the high bits fold into that table's coefficients, so one
-matrix product scores a chunk of every matrix.  It works in two phases:
-the sweep scores and keeps each chunk's maxima, and after it the tie
-rule below is settled once, rescoring only a chunk that holds an earlier
-near-tie.  ``solve_batch`` sweeps its instances in Gray-code order;
-branch and bound scores its leaves in binary order.
+Branch and bound has one search, ``_bnb_lockstep``: it advances one
+search per instance in lockstep, each the search its instance walks
+alone.  Enumeration has one kernel, ``_enumerate``: it scores a stack of
+dense matrices a chunk of assignments at a time and settles the tie rule
+below once, after its sweep.  ``solve_batch`` sweeps its instances in
+Gray-code order; branch and bound scores its leaves in binary order.
 
 Ties are settled by a rule that survives a reordered sum.  Let
 ``tol = nnz * eps * sum|V|``, where ``V`` holds the terms the objective
-adds up and nnz counts the nonzero ones.  For any summation order a
-computed objective is within tol / 2 of its exact value, so assignments
-of equal exact value compute within tol of each other.  The kernel picks
-the earliest assignment in its order whose computed value is at least the
-computed maximum minus tol.  It adds each diagonal once and each
-off-diagonal pair once, doubled, never ``o_ij`` and ``o_ji`` apart, so
-its sum has at most nnz nonzero terms for either caller's ``V``:
+adds up, nnz counts the nonzero ones and |V| is added in order from 0.0
+(``qubo._sequential_sum``), so zeros in ``V`` change neither.  For any
+summation order a computed objective is within tol / 2 of its exact
+value, so assignments of equal exact value compute within tol of each
+other.  The kernel picks the earliest assignment in its order whose
+computed value is at least the computed maximum minus tol.  It adds each
+diagonal once and each off-diagonal pair once, doubled, never ``o_ij``
+and ``o_ji`` apart, so its sum has at most nnz nonzero terms for either
+caller's ``V``:
 
-* ``solve_batch`` passes each instance's own support values with
-  off-diagonals doubled (``_terms``), whatever shares its batch, the
-  tolerance ``pipeline.coverage`` also uses.  It reports the value
-  ``evaluate`` gives for the pick, so exact ties go to the earliest of
-  them in Gray-code order however the sum was grouped.
+* ``solve_batch`` passes its term matrix (``qubo._stack``), whose rows
+  give each instance its lone tolerance, the one ``pipeline.coverage``
+  uses.  It reports the value ``evaluate`` gives for the pick, so exact
+  ties go to the earliest in Gray-code order however the sum was grouped.
 * Branch and bound passes every element of the leaf's dense matrix, and
   between leaves keeps its incumbent unless a candidate computes more than
   the root matrix's tol above it, so a near-tie goes to the candidate
@@ -59,7 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from .preprocess import _fold, _scan, _sign_parts, _split, fix_variables, merge_assignment
-from .qubo import BinarySolution, QuboInstance, _sequential_sum, _terms, evaluate
+from .qubo import BinarySolution, QuboInstance, _assignment, _objectives, _sequential_sum, _splits
+from .qubo import _stack, _terms
 
 PROVEN_OPTIMAL = "proven_optimal"
 HEURISTIC = "heuristic"
@@ -145,9 +137,7 @@ def one_flip_gain(instance: QuboInstance, bits, i: int) -> float:
     """Objective change from flipping bit i, without re-evaluating from scratch."""
     if not (0 <= i < instance.n):
         raise ValueError(f"variable index {i} out of range for n={instance.n}")
-    if len(bits) != instance.n:
-        raise ValueError(f"assignment length {len(bits)} != n={instance.n}")
-    x = np.asarray(bits, dtype=np.float64)
+    x = _assignment(bits, instance.n)
     touch = (instance.rows == i) | (instance.cols == i)
     rows, cols = instance.rows[touch], instance.cols[touch]
     # a diagonal counts whatever x_i is; a pair counts through its other end
@@ -156,13 +146,11 @@ def one_flip_gain(instance: QuboInstance, bits, i: int) -> float:
 
 
 def _tie_tolerance(terms: np.ndarray) -> np.ndarray:
-    """The tie tolerance of the module docstring, one per column of ``terms``.
+    """The tie tolerance of the module docstring, one per row of ``terms``.
 
-    ``terms`` holds, one row each, the coefficients an objective adds up:
-    an instance's support values with off-diagonals doubled (``_terms``),
-    or every element of a dense matrix.  Only a column's own nonzeros count.
+    A row holds what an objective adds up: a ``qubo._stack`` row or a dense matrix.
     """
-    return np.count_nonzero(terms, axis=0) * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+    return np.count_nonzero(terms, axis=-1) * np.finfo(float).eps * _sequential_sum(np.abs(terms))
 
 
 def solve_batch(
@@ -171,28 +159,23 @@ def solve_batch(
     """Provably optimal solves of equal-size instances: the exact engines' batch entry.
 
     Up to ``config.enum_threshold`` one ``_enumerate`` sweep in Gray-code
-    order scores every instance, and the tie rule of the module docstring,
-    with each instance's own ``_terms`` tolerance, picks each solution.
-    Above it, ``fix_variables`` fixes each instance (one it empties is
-    proven at one node) and ``_bnb_lockstep`` searches what remains.  An
-    outcome does not depend on its batch mates: each instance has its own
-    cap, and one that reaches it unproven returns ``budget_exhausted`` with
-    its best assignment so far.
+    order scores every instance, and the tie rule of the module docstring
+    picks each solution.  Above it, ``fix_variables`` fixes each instance
+    (one it empties is proven at one node) and ``_bnb_lockstep`` searches
+    what remains.  An outcome does not depend on its batch mates: each
+    instance has its own tolerance and cap, and one that reaches its cap
+    unproven returns ``budget_exhausted`` with its best assignment so far.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
     if not instances:
         return []
-    n = instances[0].n
-    if any(inst.n != n for inst in instances):
-        raise ValueError("batched instances must share one variable count")
+    stack, n, k = _stack(instances), instances[0].n, len(instances)
     if n <= config.enum_threshold:
-        d, o = (np.stack(part) for part in zip(*map(_split, instances)))
-        tol = np.array([_tie_tolerance(_terms(inst)) for inst in instances])
+        (d, o), tol = _splits(stack, n), _tie_tolerance(stack[2])
         _values, codes, scanned = _enumerate(d, o, tol, True, config._cap(_SWEEP_PER_S))
         status = PROVEN_OPTIMAL if scanned == 1 << n else BUDGET_EXHAUSTED
-        bits = [[(c >> v) & 1 for v in range(n)] for c in codes.tolist()]
-        return _finish([(inst, b, status, scanned) for inst, b in zip(instances, bits)], t0)
+        return _finish(stack, _bits(codes, n), [status] * k, [scanned] * k, t0)
     reps = [fix_variables(inst) for inst in instances]
     roots = [rep.reduced for rep in reps if rep.reduced.n]
     found = iter(_bnb_lockstep(roots, config) if roots else ())
@@ -200,8 +183,8 @@ def solve_batch(
     for inst, rep in zip(instances, reps):
         sub_bits, nodes, closed = next(found) if rep.reduced.n else ((), 1, True)
         bits = merge_assignment(inst.n, rep.assignments, rep.index_map, sub_bits)
-        rows.append((inst, bits, PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED, nodes))
-    return _finish(rows, t0)
+        rows.append((bits, PROVEN_OPTIMAL if closed else BUDGET_EXHAUSTED, nodes))
+    return _finish(stack, *zip(*rows), t0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,7 +400,7 @@ class _Searches:
         leaf_d = np.where(valid, np.take_along_axis(d[at], where, axis=1), 0.0)
         leaf_o = self.off[at[:, None, None], where[:, :, None], where[:, None, :]]
         leaf_o *= valid[:, :, None] & valid[:, None, :]
-        tol = _tie_tolerance(np.concatenate([leaf_d, leaf_o.reshape(len(at), -1)], axis=1).T)
+        tol = _tie_tolerance(np.concatenate([leaf_d, leaf_o.reshape(len(at), -1)], axis=1))
         sub_val, pick, _scanned = _enumerate(leaf_d, leaf_o, tol, gray=False)
         who = self.ids[at]
         better = val[at] + sub_val > self.inc_val[who] + self.tol[who]
@@ -514,19 +497,19 @@ def _bnb_lockstep(
     ]
 
 
-def _finish(rows, t0: float) -> list[SolveOutcome]:
-    """The outcomes of one solve call started at ``t0``.
+def _finish(stack: tuple, bits, statuses, efforts, t0: float) -> list[SolveOutcome]:
+    """The outcomes of one solve call started at ``t0``, one per row of a ``qubo._stack``.
 
-    ``rows`` holds one (instance, bits, status, effort) per outcome.  The
-    wall time is taken once, after every ``evaluate``, and every outcome
-    carries it.
+    One ``qubo._objectives`` call scores each row of ``bits``; the wall
+    time is taken once, after it, and every outcome carries it.
     """
-    solved = []
-    for instance, bits, status, effort in rows:
-        bits_t = tuple(int(b) for b in bits)
-        solved.append((BinarySolution(bits_t, evaluate(instance, bits_t)), status, effort))
+    x = np.array(bits, dtype=np.float64)
+    values = _objectives(stack, x).tolist()
     elapsed = time.perf_counter() - t0
-    return [SolveOutcome(sol, status, effort, elapsed) for sol, status, effort in solved]
+    return [
+        SolveOutcome(BinarySolution(tuple(b), value), status, effort, elapsed)
+        for b, value, status, effort in zip(x.astype(np.int64).tolist(), values, statuses, efforts)
+    ]
 
 
 def solve_exact(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:
@@ -599,7 +582,7 @@ def solve_heuristic(instance: QuboInstance, config: SolverConfig | None = None) 
                 stale += 1
         if moves + 1 > move_cap:
             break
-    return _finish([(instance, best_bits, HEURISTIC, moves)], t0)[0]
+    return _finish(_stack([instance]), [best_bits], [HEURISTIC], [moves], t0)[0]
 
 
 def solve(instance: QuboInstance, config: SolverConfig | None = None) -> SolveOutcome:

@@ -5,6 +5,7 @@ import time
 from dataclasses import replace
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from qrobust import (
@@ -23,7 +24,8 @@ from qrobust.pipeline import (
     scenario_instances,
 )
 from qrobust import pipeline, solver
-from qrobust.solver import BUDGET_EXHAUSTED, HEURISTIC, PROVEN_OPTIMAL, SolverConfig
+from qrobust.qubo import _terms
+from qrobust.solver import BUDGET_EXHAUSTED, HEURISTIC, PROVEN_OPTIMAL, SolverConfig, _tie_tolerance
 
 EXACT = SolverConfig(mode="exact")
 DISPATCH = pytest.mark.parametrize("dispatch", ["in-process", "pool"], indirect=True)
@@ -222,7 +224,49 @@ def test_reference_coverage_field(business_gen):
     assert 0.0 <= percent <= 100.0
 
 
+@pytest.mark.parametrize("reference", [(0, 1), (2,) + (0,) * 8], ids=["short", "non-binary"])
+def test_a_bad_reference_is_refused_before_any_solve(business_gen, monkeypatch, reference):
+    solved = []
+    dispatch = pipeline._solve_scenarios
+
+    def counted(instances, *args):
+        solved.extend(instances)
+        return dispatch(instances, *args)
+
+    monkeypatch.setattr(pipeline, "_solve_scenarios", counted)
+    with pytest.raises(ValueError, match="reference"):
+        run_robust_analysis(business_gen, EXACT, reference=reference)
+    assert solved == []
+    report, _results = run_robust_analysis(business_gen, EXACT, reference=(0,) * 9)
+    assert len(solved) == report.k
+
+
 class TestCoverage:
+    def test_matches_a_loop_over_scenarios_whose_supports_differ(self):
+        # zero levels drop positions from some scenarios; the loop scores
+        # each scenario alone with its own tie tolerance
+        rng = np.random.default_rng(36)
+        for _ in range(10):
+            n = 5
+            entries = {
+                (i, j): tuple(rng.integers(-9, 10, size=2) * 0.1)
+                for i in range(n)
+                for j in range(i, n)
+                if rng.random() < 0.6
+            }
+            entries[(0, 0)] = (0.0, 0.7)
+            gen = ScenarioGenerators(n, entries)
+            _report, results = run_robust_analysis(gen, EXACT)
+            _diff, _k, _design, instances = scenario_instances(gen)
+            assert len({inst.nnz for inst in instances}) > 1
+            for reference in rng.integers(0, 2, size=(8, n)).tolist():
+                hits = sum(
+                    evaluate(inst, reference) >= res.value - float(_tie_tolerance(_terms(inst)))
+                    for res, inst in zip(results, instances)
+                )
+                got = coverage(results, instances, reference)
+                assert type(got) is float and got == 100.0 * hits / len(results)
+
     def test_returned_solutions_cover_everything(self, business_gen):
         report, results = run_robust_analysis(business_gen, EXACT)
         _diff, _k, _design, instances = scenario_instances(business_gen)

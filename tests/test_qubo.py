@@ -16,6 +16,8 @@ from qrobust import (
     positive_sum_bound,
 )
 from qrobust.pipeline import scenario_instances
+from qrobust.qubo import _objectives, _sequential_sum, _splits, _stack, _terms
+from qrobust.solver import _tie_tolerance
 
 
 def loop_evaluate(instance, bits):
@@ -74,6 +76,100 @@ class TestArraysMatchTheDictLoops:
     def test_a_negative_coefficient_at_zero_bits_gives_positive_zero(self):
         inst = QuboInstance(2, {(0, 1): -3.0, (1, 1): -1.0})
         assert str(evaluate(inst, (0, 0))) == str(loop_evaluate(inst, (0, 0))) == "0.0"
+
+
+def same_bits(a, b) -> bool:
+    """Equal as stored floats, the sign of a zero included."""
+    return np.array(a, dtype=float).tobytes() == np.array(b, dtype=float).tobytes()
+
+
+def dropping_mates(rng, n: int, k: int, drop: float) -> list[QuboInstance]:
+    """k float instances on one read-only support, each dropping its own positions.
+
+    A dropped position gets a zero of either sign.  A mate that drops none
+    keeps the shared support array; the others get their own.
+    """
+    iu, ju = np.triu_indices(n)
+    keep = rng.random(iu.size) < 0.7
+    rows, cols = iu[keep], ju[keep]
+    for a in (rows, cols):
+        a.setflags(write=False)
+    values = rng.uniform(-10.0, 10.0, size=(k, rows.size))
+    values *= 10.0 ** rng.integers(-3, 4, size=rows.size)
+    zero = rng.random(values.shape) < drop
+    values[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+    return [QuboInstance(n, (rows, cols, v)) for v in values]
+
+
+class TestStack:
+    def test_rows_are_the_lone_terms_on_the_union_support(self):
+        rng = np.random.default_rng(30)
+        for trial in range(60):
+            n, k = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+            batch = dropping_mates(rng, n, k, 0.0 if trial % 4 == 0 else 0.3)
+            rows, cols, terms = _stack(batch)
+            keys = rows * n + cols
+            union = {i * n + j for inst in batch for (i, j), _v in inst.entries()}
+            assert keys.tolist() == sorted(union)
+            for s, inst in enumerate(batch):
+                loop = [v if i == j else 2.0 * v for (i, j), v in inst.entries()]
+                assert _terms(inst).tolist() == loop
+                at = np.searchsorted(keys, inst.rows * n + inst.cols)
+                assert terms[s, at].tolist() == loop
+                assert np.count_nonzero(terms[s]) == inst.nnz
+
+    def test_a_shared_support_is_stacked_as_it_is(self):
+        batch = dropping_mates(np.random.default_rng(31), 6, 4, 0.0)
+        rows, cols, _ = _stack(batch)
+        assert rows is batch[0].rows and cols is batch[0].cols
+
+    def test_stacked_sums_match_the_lone_ones_bit_for_bit(self):
+        rng = np.random.default_rng(32)
+        for trial in range(80):
+            n, k = int(rng.integers(1, 12)), int(rng.integers(1, 7))
+            batch = dropping_mates(rng, n, k, 0.0 if trial % 4 == 0 else 0.3)
+            stack = _stack(batch)
+            x = rng.integers(0, 2, size=(k, n)).astype(float)
+            values = _objectives(stack, x)
+            tolerances = _tie_tolerance(stack[2])
+            bounds = _sequential_sum(np.maximum(stack[2], 0.0))
+            for s, inst in enumerate(batch):
+                bits = x[s].astype(int).tolist()
+                assert same_bits(values[s], evaluate(inst, bits))
+                assert same_bits(values[s], loop_evaluate(inst, bits))
+                assert same_bits(tolerances[s], _tie_tolerance(_terms(inst)))
+                assert same_bits(bounds[s], positive_sum_bound(inst))
+                assert same_bits(bounds[s], loop_positive_sum_bound(inst))
+
+    def test_a_zero_term_changes_no_sum(self):
+        # np.sum pairs terms up, so an inserted zero can shift the pairing
+        # and change the last bits of a pairwise sum of 40 terms
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            t = rng.uniform(-1.0, 1.0, size=40)
+            at = int(rng.integers(0, t.size + 1))
+            for zero in (0.0, -0.0):
+                padded = np.insert(t, at, zero)
+                assert same_bits(_sequential_sum(padded), _sequential_sum(t))
+                assert same_bits(_tie_tolerance(padded), _tie_tolerance(t))
+
+    def test_signed_zeros_sum_to_positive_zero(self):
+        assert same_bits(_sequential_sum(np.array([-0.0, -0.0])), 0.0)
+        assert same_bits(_sequential_sum(np.zeros(0)), 0.0)
+        columns = _sequential_sum(np.array([[-0.0, 1.0], [-0.0, -0.0]]), axis=0)
+        assert same_bits(columns, [0.0, 1.0])
+
+    def test_splits_are_the_dense_matrices(self):
+        rng = np.random.default_rng(34)
+        for _ in range(30):
+            n, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+            batch = dropping_mates(rng, n, k, 0.3)
+            d, o = _splits(_stack(batch), n)
+            for s, inst in enumerate(batch):
+                q = loop_to_dense(inst)
+                assert same_bits(d[s], np.diag(q))
+                np.fill_diagonal(q, 0.0)
+                assert same_bits(o[s], q)
 
 
 class TestQuboInstance:

@@ -208,8 +208,12 @@ class TestEstimate:
             estimate(toy_model(), [0.0])
 
     def test_range_checked(self):
-        with pytest.raises(ValueError):
-            estimate(toy_model(), [0.0, 1.5])
+        # a NaN entry compares false against both ends of the range
+        for z in ([0.0, 1.5], [0.0, float("nan")]):
+            with pytest.raises(ValueError):
+                estimate(toy_model(), z)
+            with pytest.raises(ValueError):
+                upper_bound(toy_model(), z)
 
 
 class TestUpperBound:
@@ -316,6 +320,13 @@ class TestCompareBounds:
         lines = comparison_to_csv(comparison).strip().splitlines()
         assert lines[0] == "scenario,optimum,g_estimate,g_bound,possum_bound,g_gap_pct,possum_gap_pct"
         assert len(lines) == 9
+
+
+class TestSurfaceModel:
+    @pytest.mark.parametrize("se", [-1.0, float("nan")])
+    def test_a_negative_or_nan_standard_error_is_refused(self, se):
+        with pytest.raises(ValueError, match="standard_error"):
+            toy_model(se=se)
 
 
 class TestModelSerialization:

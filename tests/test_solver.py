@@ -55,10 +55,17 @@ class TestOneFlipGain:
         with pytest.raises(ValueError):
             one_flip_gain(demo5, (0,) * 5, 9)
 
+    def test_non_binary_assignment_is_refused(self):
+        # as evaluate refuses it; a 2 used to read as a doubled bit
+        inst = QuboInstance(2, {(0, 0): 1.0, (0, 1): 1.0})
+        for bits in ([2, 0], [0, 0.5], [float("nan"), 1]):
+            with pytest.raises(ValueError, match="non-binary"):
+                one_flip_gain(inst, bits, 0)
+
 
 def dense_tolerance(d: np.ndarray, o: np.ndarray) -> np.ndarray:
     """The tie tolerance of each dense leaf of a stack, over every element."""
-    return _tie_tolerance(np.concatenate([d, o.reshape(len(d), -1)], axis=1).T)
+    return _tie_tolerance(np.concatenate([d, o.reshape(len(d), -1)], axis=1))
 
 
 def leaf_max(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -283,6 +290,23 @@ class TestSolveBatch:
         assert {out.nodes_or_iterations for out in outcomes} == {64}
         for inst, out in zip(scenarios, outcomes):
             assert evaluate(inst, out.solution.bits) == out.solution.value
+
+    @pytest.mark.parametrize("enum_threshold", [22, 3], ids=["enumerated", "searched"])
+    def test_mates_that_drop_positions_solve_as_alone(self, enum_threshold):
+        # zero levels drop positions from some scenarios, so the batch's
+        # supports differ and it is stacked on their union
+        rng = np.random.default_rng(35)
+        config = SolverConfig(enum_threshold=enum_threshold, time_budget=None)
+        for n in (4, 7, 9):
+            entries = dict(float_generators(rng, n, 0.8, 4, tenths).entries)
+            for key in [key for key, (a, b) in entries.items() if a != b][:2]:
+                entries[key] = (entries[key][0], 0.0)
+            _diff, _k, _design, batch = scenario_instances(ScenarioGenerators(n, entries))
+            assert len({inst.nnz for inst in batch}) > 1
+            for inst, out in zip(batch, solve_batch(batch, config)):
+                lone = solve_exact(inst, config)
+                assert (out.solution, out.status) == (lone.solution, lone.status)
+                assert out.nodes_or_iterations == lone.nodes_or_iterations
 
     def test_rejects_mixed_sizes(self):
         with pytest.raises(ValueError):
