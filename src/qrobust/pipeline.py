@@ -30,7 +30,7 @@ from .design import (
     differing_elements,
     run_count,
 )
-from .qubo import QuboInstance, _assignment, _objectives, _stack, format_number
+from .qubo import QuboInstance, _assignment, _objectives, _stack, _tie_tolerance, format_number
 from .solver import (
     MODE_HEURISTIC,
     PROVEN_OPTIMAL,
@@ -39,7 +39,6 @@ from .solver import (
     SolverConfig,
     _seeded,
     _solve_all,
-    _tie_tolerance,
     solve,
 )
 
@@ -179,20 +178,39 @@ def run_robust_analysis(
         _assignment(reference, gen.n, "reference")
     _diff, k, _design, instances = scenario_instances(gen)
     results = [
-        ScenarioResult(i, out.solution, out.status, out.solution.value)
+        ScenarioResult(
+            scenario_index=i,
+            solution=out.solution,
+            status=out.status,
+            value=out.solution.value,
+        )
         for i, out in enumerate(_solve_scenarios(instances, config, jobs))
     ]
+
     grouped: dict[str, list[float]] = {}
     for r in results:
         grouped.setdefault(r.solution.bitstring, []).append(r.value)
-    pooled = (PoolEntry(bits, len(vals), sum(vals) / len(vals)) for bits, vals in grouped.items())
-    entries = tuple(sorted(pooled, key=_pool_order))
+    entries = tuple(
+        sorted(
+            (
+                PoolEntry(bits=bits, frequency=len(vals), mean_value=sum(vals) / len(vals))
+                for bits, vals in grouped.items()
+            ),
+            key=_pool_order,
+        )
+    )
     exactness = sum(1 for r in results if r.status == PROVEN_OPTIMAL) / k
     ref_field = None
     if reference is not None:
         percent = coverage(results, instances, reference)
         ref_field = ("".join(str(int(b)) for b in reference), percent)
-    report = RobustnessReport(k, entries, entries[0].bits, exactness, ref_field)
+    report = RobustnessReport(
+        k=k,
+        pool=entries,
+        most_robust=entries[0].bits,
+        exactness=exactness,
+        reference=ref_field,
+    )
     return report, results
 
 
@@ -218,7 +236,7 @@ def coverage(
         raise ValueError("cannot compute coverage over zero scenarios")
     x = _assignment(reference, scenarios[0].n, "reference")
     stack = _stack(scenarios)
-    floor = np.array([res.value for res in results]) - np.maximum(atol, _tie_tolerance(stack[2]))
+    floor = np.array([res.value for res in results]) - np.maximum(atol, _tie_tolerance(stack.terms))
     hits = int(np.count_nonzero(_objectives(stack, x) >= floor))
     return 100.0 * hits / len(results)
 

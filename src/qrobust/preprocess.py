@@ -24,7 +24,9 @@ variables: a fixed variable is masked out, never cut out.
 node; ``reduce_instance`` folds given bits with its ``_fold_ones``, and
 the slack readers classify with its row sums, every row free (``_scan``).
 Row sums add the free rows one at a time in ascending index
-(``_column_sums``).
+(``_column_sums``).  On float data the constant of the ones may differ in
+its last bits from the compacted fold this one replaced, which grouped
+that sum differently.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -214,11 +214,19 @@ class BinarySolution:
         return "".join(str(b) for b in self.bits)
 
 
-def _stack(instances: Sequence[QuboInstance]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows, cols and the (k, U) term matrix of equal-size instances on their union support.
+class _Stack(NamedTuple):
+    """Equal-size instances on their union support: the (k, U) ``terms`` at ``rows``, ``cols``."""
 
-    Row s holds instance s's entries, off-diagonals doubled, zero where it
-    has none.  Instances on one support array skip the search.
+    rows: np.ndarray
+    cols: np.ndarray
+    terms: np.ndarray
+
+
+def _stack(instances: Sequence[QuboInstance]) -> _Stack:
+    """The ``_Stack`` of equal-size instances.
+
+    Row s of ``terms`` holds instance s's entries, off-diagonals doubled,
+    zero where it has none.  Instances on one support array skip the search.
     """
     first, k = instances[0], len(instances)
     if any(inst.n != first.n for inst in instances):
@@ -231,23 +239,12 @@ def _stack(instances: Sequence[QuboInstance]) -> tuple[np.ndarray, np.ndarray, n
         (rows, cols), vals = np.divmod(union, first.n), np.zeros((k, union.size))
         who = np.repeat(np.arange(k), [inst.nnz for inst in instances])
         vals[who, at] = np.concatenate([inst.vals for inst in instances])
-    return rows, cols, np.where(rows == cols, vals, 2.0 * vals)
-
-
-def _splits(stack: tuple, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals (k, n) and symmetric zero-diagonal off-diagonal parts (k, n, n) of a ``_stack``."""
-    rows, cols, terms = stack
-    d, o = np.zeros((len(terms), n)), np.zeros((len(terms), n, n))
-    on = rows == cols
-    d[:, rows[on]] = terms[:, on]
-    # halving gives back an off-diagonal's stored value exactly
-    o[:, rows, cols] = o[:, cols, rows] = np.where(on, 0.0, 0.5 * terms)
-    return d, o
+    return _Stack(rows, cols, np.where(rows == cols, vals, 2.0 * vals))
 
 
 def _terms(instance: QuboInstance) -> np.ndarray:
     """Each stored entry's weight in the objective: off-diagonals doubled."""
-    return _stack([instance])[2][0]
+    return _stack([instance]).terms[0]
 
 
 def _sequential_sum(terms: np.ndarray, axis: int = -1) -> float | np.ndarray:
@@ -273,10 +270,17 @@ def _assignment(bits: Sequence[int], n: int, label: str = "assignment") -> np.nd
     return x
 
 
-def _objectives(stack: tuple, x: np.ndarray) -> np.ndarray:
-    """Objective of each row of a ``_stack`` at the 0/1 rows of ``x``, or at one row for all."""
-    rows, cols, terms = stack
-    return _sequential_sum(terms * (x[..., rows] * x[..., cols]))
+def _objectives(stack: _Stack, x: np.ndarray) -> np.ndarray:
+    """Objective of each row of a ``_Stack`` at the 0/1 rows of ``x``, or at one row for all."""
+    return _sequential_sum(stack.terms * (x[..., stack.rows] * x[..., stack.cols]))
+
+
+def _tie_tolerance(terms: np.ndarray) -> np.ndarray:
+    """The tie tolerance of the ``solver`` module docstring, one per row of ``terms``.
+
+    A row holds what an objective adds up: a ``_Stack`` row or a dense matrix.
+    """
+    return np.count_nonzero(terms, axis=-1) * np.finfo(float).eps * _sequential_sum(np.abs(terms))
 
 
 def evaluate(instance: QuboInstance, bits: Sequence[int]) -> float:

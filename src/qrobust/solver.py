@@ -11,17 +11,27 @@ batch entry, and ``solve_exact`` a batch of one; ``_solve_all`` is the
 batch form of ``solve``.  The budget caps each instance's own work and
 never reads the clock (``SolverConfig``).
 
-Branch and bound has one search, ``_bnb_lockstep``: it advances one
-search per instance in lockstep, each the search its instance walks
-alone.  Enumeration has one kernel, ``_enumerate``: it scores a stack of
-dense matrices a chunk of assignments at a time and settles the tie rule
-below once, after its sweep.  ``solve_batch`` sweeps its instances in
-Gray-code order; branch and bound scores its leaves in binary order.
+Branch and bound has one search, ``_bnb_lockstep``.  It keeps one search
+per instance and advances all of them together, one node of each per
+step, on padded arrays.  Each instance walks its own search, the one it
+walks alone: same nodes, same branching, same incumbent rule, same bits
+(up to the rounding ``_bnb_lockstep`` describes).  Batching only shares
+the numpy calls of a step.
+
+Enumeration has one kernel, ``_enumerate``.  It scores a stack of dense
+matrices of equal width together, a chunk of assignments at a time: the
+low bits of an assignment read one cached table of their values and pair
+products, and the high bits fold into that table's coefficients, so one
+matrix product scores a chunk of every matrix.  It works in two phases:
+the sweep scores and keeps each chunk's maxima, and after it the tie
+rule below is settled once, rescoring only a chunk that holds an earlier
+near-tie.  ``solve_batch`` sweeps its instances in Gray-code order;
+branch and bound scores its leaves in binary order.
 
 Ties are settled by a rule that survives a reordered sum.  Let
 ``tol = nnz * eps * sum|V|``, where ``V`` holds the terms the objective
 adds up, nnz counts the nonzero ones and |V| is added in order from 0.0
-(``qubo._sequential_sum``), so zeros in ``V`` change neither.  For any
+(``qubo._tie_tolerance``), so zeros in ``V`` change neither.  For any
 summation order a computed objective is within tol / 2 of its exact
 value, so assignments of equal exact value compute within tol of each
 other.  The kernel picks the earliest assignment in its order whose
@@ -30,7 +40,7 @@ diagonal once and each off-diagonal pair once, doubled, never ``o_ij``
 and ``o_ji`` apart, so its sum has at most nnz nonzero terms for either
 caller's ``V``:
 
-* ``solve_batch`` passes its term matrix (``qubo._stack``), whose rows
+* ``solve_batch`` passes its term matrix (``qubo._Stack``), whose rows
   give each instance its lone tolerance, the one ``pipeline.coverage``
   uses.  It reports the value ``evaluate`` gives for the pick, so exact
   ties go to the earliest in Gray-code order however the sum was grouped.
@@ -50,8 +60,8 @@ from typing import Sequence
 import numpy as np
 
 from .preprocess import _fold, _scan, _sign_parts, _split, fix_variables, merge_assignment
-from .qubo import BinarySolution, QuboInstance, _assignment, _objectives, _sequential_sum, _splits
-from .qubo import _stack, _terms
+from .qubo import BinarySolution, QuboInstance, _Stack, _assignment, _objectives, _sequential_sum
+from .qubo import _stack, _terms, _tie_tolerance
 
 PROVEN_OPTIMAL = "proven_optimal"
 HEURISTIC = "heuristic"
@@ -145,14 +155,6 @@ def one_flip_gain(instance: QuboInstance, bits, i: int) -> float:
     return (1.0 - 2.0 * float(x[i])) * _sequential_sum(_terms(instance)[touch] * partner)
 
 
-def _tie_tolerance(terms: np.ndarray) -> np.ndarray:
-    """The tie tolerance of the module docstring, one per row of ``terms``.
-
-    A row holds what an objective adds up: a ``qubo._stack`` row or a dense matrix.
-    """
-    return np.count_nonzero(terms, axis=-1) * np.finfo(float).eps * _sequential_sum(np.abs(terms))
-
-
 def solve_batch(
     instances: Sequence[QuboInstance], config: SolverConfig | None = None
 ) -> list[SolveOutcome]:
@@ -172,7 +174,8 @@ def solve_batch(
         return []
     stack, n, k = _stack(instances), instances[0].n, len(instances)
     if n <= config.enum_threshold:
-        (d, o), tol = _splits(stack, n), _tie_tolerance(stack[2])
+        d, o = (np.stack(part) for part in zip(*map(_split, instances)))
+        tol = _tie_tolerance(stack.terms)
         _values, codes, scanned = _enumerate(d, o, tol, True, config._cap(_SWEEP_PER_S))
         status = PROVEN_OPTIMAL if scanned == 1 << n else BUDGET_EXHAUSTED
         return _finish(stack, _bits(codes, n), [status] * k, [scanned] * k, t0)
@@ -497,8 +500,8 @@ def _bnb_lockstep(
     ]
 
 
-def _finish(stack: tuple, bits, statuses, efforts, t0: float) -> list[SolveOutcome]:
-    """The outcomes of one solve call started at ``t0``, one per row of a ``qubo._stack``.
+def _finish(stack: _Stack, bits, statuses, efforts, t0: float) -> list[SolveOutcome]:
+    """The outcomes of one solve call started at ``t0``, one per row of a ``qubo._Stack``.
 
     One ``qubo._objectives`` call scores each row of ``bits``; the wall
     time is taken once, after it, and every outcome carries it.

@@ -24,8 +24,8 @@ from qrobust.pipeline import (
     scenario_instances,
 )
 from qrobust import pipeline, solver
-from qrobust.qubo import _terms
-from qrobust.solver import BUDGET_EXHAUSTED, HEURISTIC, PROVEN_OPTIMAL, SolverConfig, _tie_tolerance
+from qrobust.qubo import _terms, _tie_tolerance
+from qrobust.solver import BUDGET_EXHAUSTED, HEURISTIC, PROVEN_OPTIMAL, SolverConfig
 
 EXACT = SolverConfig(mode="exact")
 DISPATCH = pytest.mark.parametrize("dispatch", ["in-process", "pool"], indirect=True)

@@ -25,8 +25,7 @@ from qrobust import (
     sensitivity_report,
 )
 from qrobust.preprocess import _scan, _split, merge_assignment
-from qrobust.qubo import _terms
-from qrobust.solver import _tie_tolerance
+from qrobust.qubo import _terms, _tie_tolerance
 
 
 class TestFixSlack:

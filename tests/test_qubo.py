@@ -16,8 +16,7 @@ from qrobust import (
     positive_sum_bound,
 )
 from qrobust.pipeline import scenario_instances
-from qrobust.qubo import _objectives, _sequential_sum, _splits, _stack, _terms
-from qrobust.solver import _tie_tolerance
+from qrobust.qubo import _objectives, _sequential_sum, _stack, _terms, _tie_tolerance
 
 
 def loop_evaluate(instance, bits):
@@ -131,8 +130,8 @@ class TestStack:
             stack = _stack(batch)
             x = rng.integers(0, 2, size=(k, n)).astype(float)
             values = _objectives(stack, x)
-            tolerances = _tie_tolerance(stack[2])
-            bounds = _sequential_sum(np.maximum(stack[2], 0.0))
+            tolerances = _tie_tolerance(stack.terms)
+            bounds = _sequential_sum(np.maximum(stack.terms, 0.0))
             for s, inst in enumerate(batch):
                 bits = x[s].astype(int).tolist()
                 assert same_bits(values[s], evaluate(inst, bits))
@@ -158,18 +157,6 @@ class TestStack:
         assert same_bits(_sequential_sum(np.zeros(0)), 0.0)
         columns = _sequential_sum(np.array([[-0.0, 1.0], [-0.0, -0.0]]), axis=0)
         assert same_bits(columns, [0.0, 1.0])
-
-    def test_splits_are_the_dense_matrices(self):
-        rng = np.random.default_rng(34)
-        for _ in range(30):
-            n, k = int(rng.integers(1, 9)), int(rng.integers(1, 5))
-            batch = dropping_mates(rng, n, k, 0.3)
-            d, o = _splits(_stack(batch), n)
-            for s, inst in enumerate(batch):
-                q = loop_to_dense(inst)
-                assert same_bits(d[s], np.diag(q))
-                np.fill_diagonal(q, 0.0)
-                assert same_bits(o[s], q)
 
 
 class TestQuboInstance:

@@ -20,6 +20,7 @@ from qrobust import (
 from qrobust import pipeline, solver
 from qrobust.pipeline import scenario_instances
 from qrobust.preprocess import _split, merge_assignment
+from qrobust.qubo import _tie_tolerance
 from qrobust.solver import (
     _LEAF_BITS,
     BUDGET_EXHAUSTED,
@@ -28,7 +29,6 @@ from qrobust.solver import (
     SolverConfig,
     _enumerate,
     _greedy_ascent,
-    _tie_tolerance,
     solve_batch,
 )
 
