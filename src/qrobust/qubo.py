@@ -250,12 +250,23 @@ def _terms(instance: QuboInstance) -> np.ndarray:
 def _sequential_sum(terms: np.ndarray, axis: int = -1) -> float | np.ndarray:
     """0.0 + t[0] + t[1] + ... along ``axis``, in order like a Python loop; a float if 1-D.
 
-    ``np.add.accumulate`` keeps that order where ``np.sum`` would pair terms
-    up.  The leading 0.0 makes an all-negative-zero sum 0.0, as the loop
-    does, so a zero term of either sign leaves a sum as it was.
+    ``np.sum`` would pair terms up.  Over the outer axis of a C-contiguous
+    array ``np.add.reduce`` adds whole rows in order, as
+    ``preprocess._column_sums`` relies on, so a sum of several columns
+    reduces a contiguous copy; a single column, which NumPy may treat as one
+    flat pairwise sum, takes ``np.add.accumulate``, which keeps the order.
+    The leading 0.0 makes an all-negative-zero sum 0.0, as the loop does, so
+    a zero term of either sign leaves a sum as it was.
     """
     t = np.moveaxis(terms, axis, 0)
-    total = 0.0 + (np.add.accumulate(t)[-1] if len(t) else np.zeros(t.shape[1:]))
+    if not len(t):
+        total = np.zeros(t.shape[1:])
+    elif t[0].size > 1:
+        total = np.add.reduce(np.ascontiguousarray(t).reshape(len(t), -1), axis=0)
+        total = total.reshape(t.shape[1:])
+    else:
+        total = np.add.accumulate(t)[-1]
+    total = 0.0 + total
     return float(total) if total.ndim == 0 else total
 
 
@@ -271,8 +282,18 @@ def _assignment(bits: Sequence[int], n: int, label: str = "assignment") -> np.nd
 
 
 def _objectives(stack: _Stack, x: np.ndarray) -> np.ndarray:
-    """Objective of each row of a ``_Stack`` at the 0/1 rows of ``x``, or at one row for all."""
-    return _sequential_sum(stack.terms * (x[..., stack.rows] * x[..., stack.cols]))
+    """Objective of each row of a ``_Stack`` at the 0/1 rows of ``x``, or at one row for all.
+
+    Each term is its weight times a 0/1 product, exact in any order, formed
+    in place where ``x`` has a row per instance.
+    """
+    on = x[..., stack.rows]
+    on *= x[..., stack.cols]
+    if on.shape == stack.terms.shape:
+        on *= stack.terms
+    else:
+        on = stack.terms * on
+    return _sequential_sum(on)
 
 
 def _tie_tolerance(terms: np.ndarray) -> np.ndarray:

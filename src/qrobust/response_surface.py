@@ -45,8 +45,10 @@ class SurfaceModel:
             raise ValueError(
                 f"coefficient count {beta.shape} != factor count {self.diff.d}"
             )
-        if not self.standard_error >= 0.0:  # refuses NaN too
-            raise ValueError(f"standard_error must be >= 0, got {self.standard_error}")
+        if not (np.isfinite(self.intercept) and np.isfinite(beta).all()):
+            raise ValueError("intercept and coefficients must be finite numbers")
+        if not 0.0 <= self.standard_error < np.inf:  # refuses NaN too
+            raise ValueError(f"standard_error must be >= 0 and finite, got {self.standard_error}")
         if self.dof < 0:
             raise ValueError(f"dof must be >= 0, got {self.dof}")
         object.__setattr__(self, "coefficients", beta)

@@ -2,7 +2,7 @@
 
 Three engines share one entry point, ``solve``, which picks one from the
 mode and n (no other module does): multi-start tabu search with 1-flip
-moves in heuristic mode, else full enumeration in Gray-code order up to
+moves in heuristic mode, else exact enumeration in Gray-code order up to
 ``enum_threshold`` and, above it, depth-first branch and bound over the
 preprocessed matrix, bounded by the positive-element sum of the free
 submatrix, with a tabu fallback in auto mode for an instance the budget
@@ -18,15 +18,18 @@ walks alone: same nodes, same branching, same incumbent rule, same bits
 (up to the rounding ``_bnb_lockstep`` describes).  Batching only shares
 the numpy calls of a step.
 
-Enumeration has one kernel, ``_enumerate``.  It scores a stack of dense
-matrices of equal width together, a chunk of assignments at a time: the
-low bits of an assignment read one cached table of their values and pair
-products, and the high bits fold into that table's coefficients, so one
-matrix product scores a chunk of every matrix.  It works in two phases:
-the sweep scores and keeps each chunk's maxima, and after it the tie
-rule below is settled once, rescoring only a chunk that holds an earlier
-near-tie.  ``solve_batch`` sweeps its instances in Gray-code order;
-branch and bound scores its leaves in binary order.
+Enumeration has one kernel, ``_enumerate``, a bounded pass over a stack
+of dense matrices of equal width.  Fixing the high bits of an assignment
+leaves a quadratic in the rest whose row bound (each free variable's
+linear term plus its positive pairs, if positive; the roof-duality family)
+covers every assignment that shares those bits.  A dive to one block per
+matrix gives an incumbent, one level-synchronous pass over the high-bit
+prefixes drops those whose bounds fall short of it, and only the blocks
+left are scored: their low bits read one cached table of their values and
+pair products, their high bits folded into its coefficients.  No chunk
+history is kept, so memory does not grow with 2^n.  ``solve_batch`` sweeps
+its instances in Gray-code order; branch and bound scores its leaves in
+binary order, with a floor.
 
 Ties are settled by a rule that survives a reordered sum.  Let
 ``tol = nnz * eps * sum|V|``, where ``V`` holds the terms the objective
@@ -47,7 +50,33 @@ caller's ``V``:
 * Branch and bound passes every element of the leaf's dense matrix, and
   between leaves keeps its incumbent unless a candidate computes more than
   the root matrix's tol above it, so a near-tie goes to the candidate
-  found first.
+  found first.  A leaf at a node of constant ``val`` passes the floor
+  ``inc_val - val - leaf_tol``: a leaf whose candidate replaces the
+  incumbent computes ``val + sub_val > inc_val + root_tol``, so its
+  maximum exceeds ``inc_val - val`` once the rounding of those sums of
+  root-scale numbers (within root_tol) is allowed for, and its pick lies
+  within leaf_tol of that maximum.  Below the floor a block can neither
+  beat the incumbent nor hold the pick of a leaf that does.
+
+The prune margin.  The pass drops a prefix whose computed bound is below
+``U - 4 tol``, with ``U = max(inc - tol, floor)``, where inc is the dive's
+computed maximum.  The dive's block is scored and kept, so the computed
+maximum M is at least inc, and no objective below ``M - tol`` or below the
+floor is of use.  To first order in eps:
+
+* every computed objective in the prefix is within tol / 2 of its exact
+  value, which is at most the exact bound B;
+* B is made of at most 2 nnz nonzero terms whose magnitudes add up to
+  ``sum|V|`` (a free pair enters once from each end, undoubled), by sums
+  and ``max(0, .)``, which adds no rounding, so the computed bound is
+  within tol of B;
+* forming ``U - 4 tol`` rounds by at most tol / 2 where ``|U| <= sum|V|``,
+  and no computed bound comes near U where it is larger.
+
+So every computed objective in a dropped prefix is below
+``U - 4 tol + tol / 2 + tol + tol / 2 = U - 2 tol``: at least a tol below
+both ``M - tol`` and the floor, room that covers the second-order terms.
+No float data loses a pick to the pass.
 """
 
 from __future__ import annotations
@@ -210,9 +239,14 @@ def _low_table(low: int, gray: bool) -> np.ndarray:
 
 
 def _enumerate(
-    d: np.ndarray, o: np.ndarray, tol: np.ndarray, gray: bool, cap: float = np.inf
+    d: np.ndarray,
+    o: np.ndarray,
+    tol: np.ndarray,
+    gray: bool,
+    cap: float = np.inf,
+    floor: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Maximum of x^t m x over every assignment of each matrix of a stack.
+    """Maximum of x^t m x over every assignment of each matrix of a stack, by a bounded pass.
 
     Matrix s has diagonal ``d[s]`` and off-diagonal part ``o[s]``
     (symmetric, zero diagonal); ``d`` is (a, w).  Assignments run in binary
@@ -224,95 +258,165 @@ def _enumerate(
     unpadded prefix scores and comes later.
 
     Index g splits into a block h of its high bits and a row r of its
-    ``low = min(w, _LOW_BITS)`` low bits.  For fixed high bits the
-    objective is linear in the low bits and their pair products, so a
-    block is ``_low_table`` scaled by coefficients folded from h; in Gray
-    order the high bits are gray(h) shifted up by low, and an odd block
-    runs through the table backwards (reflecting a Gray code flips its top
-    bit).  Every term enters once: a diagonal, or an off-diagonal pair
-    doubled, which the tie rule of the module docstring needs.
+    ``low = min(w, _LOW_BITS)`` low bits; the variables from ``low`` on
+    hold h, or gray(h) in Gray order.  A prefix p at level t is the run of
+    blocks with ``h >> t == p``, one aligned run in either order since
+    ``gray(h) >> t == gray(h >> t)``.  It fixes the variables from
+    ``low + t`` on, which fold into ``c + Σ l_i x_i + Σ_{i<j} 2 o_ij x_i x_j``
+    over the others, and its bound is ``c + Σ_i max(0, l_i + Σ_{j≠i}
+    max(0, o_ij))``.  A block (level 0) scores ``_low_table`` scaled by
+    [c, l, 2 o_ij]; in Gray order an odd block runs through the table
+    backwards (reflecting a Gray code flips its top bit).  Every term enters
+    once: a diagonal, or an off-diagonal pair doubled, which the tie rule
+    of the module docstring needs.
 
-    It runs in two phases.  The sweep scores chunks of blocks, each at most
-    about ``_BLOCK_ELEMENTS`` objectives, and keeps each chunk's maximum per
-    matrix and, where a matrix's maximum rises, the earliest index in that
-    chunk within ``tol[s]`` of it.  After the sweep the tie rule is settled
-    once: a matrix whose threshold an earlier chunk already reaches picks
-    in that chunk, scored again as the sweep scored it.  Memory holds one
-    chunk of objectives and one maximum per chunk per matrix.  Only the
-    first blocks that fit in ``cap`` assignments are scanned, at least
-    one.  Returns each matrix's computed value and assignment code at its
-    pick, and the assignments it scanned.
+    The pass starts at the lowest level with at most about one chunk of
+    prefixes, folded by one product, and has three steps:
+
+    1. A dive takes, per matrix, the start prefix with the largest bound
+       and then the child with the larger bound (the first on a tie) down
+       to one block, and scores it.  Its maximum is the incumbent ``inc``.
+    2. One level-synchronous pass over the (matrix, prefix) arrays drops a
+       prefix whose bound is below ``max(inc - tol, floor) - 4 tol``: the
+       module docstring proves that it holds no pick.  A level that grows
+       past a chunk is cut into pieces, taken first to last, depth first.
+    3. The surviving blocks are scored in sweep order, at most about
+       ``_BLOCK_ELEMENTS`` objectives per product, and each matrix picks
+       among the scored blocks that can still hold its pick (``_records``).
+
+    ``floor[s]`` (default none) is a level below which the caller has no
+    use for an objective of matrix s; where the computed maximum is below
+    it, the value returned is below it too, and the code is not the tie
+    rule's.  Memory holds a few copies of the matrices, a chunk of nodes
+    per level and the kept blocks.  Only the first blocks that fit in
+    ``cap`` assignments count, at least one.  Returns each matrix's
+    computed value and assignment code at its pick, and the assignments
+    those blocks cover, scored or dropped.
     """
     a, w = d.shape
     low, high = min(w, _LOW_BITS), max(w - _LOW_BITS, 0)
-    rows, blocks = 1 << low, 1 << high
-    blocks = max(1, int(min(cap, blocks * rows)) // rows)  # min keeps an infinite cap from int
+    rows = 1 << low
+    blocks = max(1, int(min(cap, (1 << high) * rows)) // rows)  # min keeps an infinite cap from int
     table = _low_table(low, gray)
-    i, j = _pairs(low)
-    hi, hj = _pairs(high)
-    # the coefficients of the table's first low + 1 rows are linear in the
-    # high bits and their pairs: fold[:, s] maps those to matrix s's
-    # constant (the high diagonals, and the high pairs doubled) and to its
-    # low bits' linear terms (their pairs with high bits, doubled)
-    fold = np.zeros((high + hi.size, a, 1 + low))
-    fold[:high, :, 0] = d[:, low:].T
-    fold[high:, :, 0] = 2.0 * o[:, low + hi, low + hj].T
-    fold[:high, :, 1:] = 2.0 * o[:, low:, :low].transpose(1, 0, 2)
-    base = np.concatenate([np.zeros((a, 1)), d[:, :low], 2.0 * o[:, i, j]], axis=1)
+    twice = 2.0 * o
+    pairs = twice[(slice(None), *_pairs(low))]
+    # spare[t][s, i]: the positive pairs of variable i with the others that
+    # level t leaves free, those below low + t
+    pos = np.cumsum(np.maximum(o, 0.0), axis=2)
+    spare = [pos[:, : low + t, low + t - 1] if low + t else d[:, :0] for t in range(high + 1)]
 
-    def scores(h0: int, h1: int, s: slice) -> np.ndarray:
-        """Objectives of blocks [h0, h1) of the matrices ``s``: (matrices, blocks, rows)."""
-        h = np.arange(h0, h1)
-        x = _bits(h ^ (h >> 1) if gray else h, high)
-        part = fold[:, s]
-        c = part.shape[1]
-        folded = np.hstack([x, x[:, hi] * x[:, hj]]) @ part.reshape(len(fold), c * (1 + low))
-        coef = np.empty((c, h1 - h0, len(table)))
-        coef[...] = base[s, None]
-        coef[..., : 1 + low] += folded.reshape(h1 - h0, c, 1 + low).transpose(1, 0, 2)
-        return (coef.reshape(-1, len(table)) @ table).reshape(c, h1 - h0, rows)
+    def bound(t, s, cl):
+        """The bound of each node at level t; row i of ``cl`` is node i's c, then its l."""
+        return cl[:, 0] + np.maximum(cl[:, 1:] + spare[t][s], 0.0).sum(axis=1)
 
-    def earliest(vals: np.ndarray, thr: np.ndarray, h0: int) -> tuple:
-        """Index and value of each row's first objective at or above thr (one exists).
+    def children(t, s, p, cl):
+        """The two nodes below each node at level t, in sweep order: variable low + t - 1 fixed."""
+        v = low + t - 1
+        kid = np.empty((len(s), 2, 1 + v))
+        kid[:, 0] = cl[:, : 1 + v]
+        kid[:, 1, 0] = cl[:, 0] + cl[:, 1 + v]
+        kid[:, 1, 1:] = cl[:, 1 : 1 + v] + twice[s, :v, v]
+        if gray:  # an odd prefix sets the variable in its first child
+            odd = np.flatnonzero(p & 1)
+            kid[odd] = kid[odd, ::-1]
+        return np.repeat(s, 2), (2 * p[:, None] + [0, 1]).ravel(), kid.reshape(-1, 1 + v)
 
-        ``vals`` holds blocks from h0 on, rows in table order; an odd block
-        runs backwards in Gray order.
-        """
-        hit = vals >= thr[:, None, None]
-        if gray:
-            odd = slice((h0 + 1) % 2, None, 2)
-            hit[:, odd] = hit[:, odd, ::-1]
-        at = hit.reshape(len(hit), -1).argmax(axis=1)
-        b, r = np.divmod(at, rows)
-        if gray:
-            r = np.where((h0 + b) % 2 == 1, rows - 1 - r, r)
-        return h0 * rows + at, vals[np.arange(len(at)), b, r]
+    def score(s, cl):
+        return np.hstack([cl, pairs[s]]) @ table
 
-    step = max(1, _BLOCK_ELEMENTS // (a * rows))
-    best = np.full(a, -np.inf)  # largest computed objective so far
-    first = np.zeros(a, dtype=np.int64)  # earliest index in its chunk within tol of it
-    first_val = np.full(a, -np.inf)
-    # each matrix's chunk maxima, a row each: a search along a row copies nothing
-    tops = np.empty((a, -(-blocks // step)))
-    for c, h0 in enumerate(range(0, blocks, step)):
-        vals = scores(h0, min(h0 + step, blocks), slice(None))
-        tops[:, c] = vals.reshape(a, -1).max(axis=1)
-        up = np.flatnonzero(tops[:, c] > best)
-        if up.size:
-            rising = vals if up.size == a else vals[up]
-            first[up], first_val[up] = earliest(rising, tops[up, c] - tol[up], h0)
-            best[up] = tops[up, c]
-    # the pick lies in the first chunk that reaches thr; where that chunk
-    # comes before the maximum's, it is scored again as the sweep scored
-    # it, the whole stack, so the objectives and their rounding repeat
-    thr = best - tol
-    pick = (tops >= thr[:, None]).argmax(axis=1)
-    for s in np.flatnonzero(pick < tops.argmax(axis=1)).tolist():
-        h0, one = int(pick[s]) * step, slice(s, s + 1)
-        vals = scores(h0, h0 + step, slice(None))[one]
-        first[one], first_val[one] = earliest(vals, thr[one], h0)
-    codes = first ^ (first >> 1) if gray else first
-    return first_val, codes, blocks * rows
+    t0 = high  # the start level
+    while t0 and a << (high - t0 + 1) <= _BLOCK_ELEMENTS // (2 + w):
+        t0 -= 1
+    # the start prefixes, prefix-major: the fixed variables' bits y and
+    # their pairs map to each matrix's c and l through one fold matrix
+    f, fixed = low + t0, high - t0
+    fi, fj = _pairs(fixed)
+    h = np.arange(-(-blocks >> t0))
+    y = _bits(h ^ (h >> 1) if gray else h, fixed)
+    fold = np.zeros((fixed + fi.size, a, 1 + f))
+    fold[:fixed, :, 0] = d[:, f:].T
+    fold[fixed:, :, 0] = twice[:, f + fi, f + fj].T
+    fold[:fixed, :, 1:] = twice[:, f:, :f].transpose(1, 0, 2)
+    cl = np.hstack([y, y[:, fi] * y[:, fj]]) @ fold.reshape(len(fold), a * (1 + f))
+    cl = cl.reshape(len(h), a, 1 + f)
+    cl[..., 1:] += d[:, :f]
+    s, p, cl = np.tile(np.arange(a), len(h)), np.repeat(h, a), cl.reshape(-1, 1 + f)
+    todo = [(t0, s, p, cl, bound(t0, s, cl))]
+
+    first = todo[0][-1].reshape(len(h), a).argmax(axis=0) * a + np.arange(a)
+    s, p, cl = s[first], p[first], cl[first]
+    for t in range(t0, 0, -1):
+        s, p, cl = children(t, s, p, cl)
+        pair = bound(t - 1, s, cl).reshape(a, 2)
+        up = (pair[:, 1] > pair[:, 0]) & (p[1::2] << (t - 1) < blocks)
+        s, p, cl = (x[2 * np.arange(a) + up] for x in (s, p, cl))
+    dive, best = p, np.full(a, -np.inf)
+    kept = _records(None, s, p, score(s, cl), best, tol)
+    lim = (best - tol if floor is None else np.maximum(best - tol, floor)) - 4.0 * tol
+
+    while todo:
+        t, s, p, cl, b = todo.pop()
+        keep = ((bound(t, s, cl) if b is None else b) >= lim[s]) & (p << t < blocks)
+        if t == 0:
+            keep &= p != dive[s]  # scored already
+        s, p, cl = s[keep], p[keep], cl[keep]
+        if t == 0:
+            step = max(1, _BLOCK_ELEMENTS // rows)
+            for k in range(0, len(s), step):
+                cut = slice(k, k + step)
+                kept = _records(kept, s[cut], p[cut], score(s[cut], cl[cut]), best, tol)
+        elif len(s):
+            # cut a level that grows past a chunk, the first piece on top
+            step = max(1, _BLOCK_ELEMENTS // (1 + f))
+            kids = children(t, s, p, cl)
+            for k in reversed(range(0, 2 * len(s), step)):
+                todo.append((t - 1, *(x[k : k + step] for x in kids), None))
+    return (*_pick(kept, best - tol, rows, gray), blocks * rows)
+
+
+def _records(kept, s, h, vals, best, tol):
+    """The scored blocks that can still hold a pick, once blocks ``h`` of matrices ``s`` join.
+
+    ``kept`` is a previous result (None at first): matrix, block, the
+    block's objectives in table order and their maximum.  ``best``, each
+    matrix's largest objective so far, is raised in place.  A block is kept
+    while its maximum is within ``tol`` of that, since the final maximum is
+    no lower.  When more than a few per matrix are kept, only blocks whose
+    maximum is above every earlier kept block's of their matrix stay: an
+    earlier block at least as high reaches any threshold first.
+    """
+    top = vals.max(axis=1)
+    np.maximum.at(best, s, top)
+    if kept is not None:
+        s, h, vals, top = (np.concatenate(pair) for pair in zip(kept, (s, h, vals, top)))
+    near = np.flatnonzero(top >= best[s] - tol[s])
+    s, h, vals, top = s[near], h[near], vals[near], top[near]
+    if len(s) > 4 * len(best):
+        order = np.lexsort((h, s))
+        s, h, vals, top = s[order], h[order], vals[order], top[order]
+        # ranks of the maxima, offset per matrix, so one running maximum serves all
+        key = s * len(top) + np.unique(top, return_inverse=True)[1].reshape(-1)
+        rising = np.flatnonzero(key > np.concatenate(([-1], np.maximum.accumulate(key)[:-1])))
+        s, h, vals, top = s[rising], h[rising], vals[rising], top[rising]
+    return s, h, vals, top
+
+
+def _pick(kept, thr: np.ndarray, rows: int, gray: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Value and code of each matrix's earliest objective at or above ``thr``, from ``_records``.
+
+    Every matrix has a kept block that reaches its threshold.
+    """
+    s, h, vals, top = kept
+    reach = np.flatnonzero(top >= thr[s])
+    reach = reach[np.lexsort((h[reach], s[reach]))]
+    reach = reach[np.unique(s[reach], return_index=True)[1]]  # one per matrix, in order
+    h, vals = h[reach], vals[reach]
+    if gray:  # an odd block runs through the table backwards
+        odd = np.flatnonzero(h & 1)
+        vals[odd] = vals[odd, ::-1]
+    r = (vals >= thr[:, None]).argmax(axis=1)
+    g = h * rows + r
+    return vals[np.arange(len(r)), r], g ^ (g >> 1) if gray else g
 
 
 def _objective(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> float:
@@ -404,8 +508,10 @@ class _Searches:
         leaf_o = self.off[at[:, None, None], where[:, :, None], where[:, None, :]]
         leaf_o *= valid[:, :, None] & valid[:, None, :]
         tol = _tie_tolerance(np.concatenate([leaf_d, leaf_o.reshape(len(at), -1)], axis=1))
-        sub_val, pick, _scanned = _enumerate(leaf_d, leaf_o, tol, gray=False)
         who = self.ids[at]
+        # below this a leaf's blocks cannot replace the incumbent (module docstring)
+        floor = self.inc_val[who] - val[at] - tol
+        sub_val, pick, _scanned = _enumerate(leaf_d, leaf_o, tol, False, floor=floor)
         better = val[at] + sub_val > self.inc_val[who] + self.tol[who]
         if better.any():
             at, who, where, valid = at[better], who[better], where[better], valid[better]
@@ -446,8 +552,9 @@ def _bnb_lockstep(
     ``preprocess._classify`` decides for the free submatrix with
     ``preprocess._fold``, the fold ``fix_variables`` runs, bounds the
     remainder by its positive-element sum, and enumerates it outright with
-    ``_enumerate``, in binary order, once ``min(config.enum_threshold,
-    _LEAF_BITS)`` or fewer variables are left.  Branching picks the free
+    ``_enumerate``, in binary order and with a floor, once
+    ``min(config.enum_threshold, _LEAF_BITS)`` or fewer variables are
+    left.  Branching picks the free
     variable with the largest slack magnitude (the first on a tie), value-1
     child first for a nonnegative effective diagonal.  A candidate replaces
     the incumbent only when it computes more than the root's tie tolerance

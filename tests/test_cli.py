@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import make_business_generators, make_demo5
-from qrobust import format_instance, solver
+from qrobust import cli, format_instance, solver
 from qrobust.cli import _solver_config, build_parser, main
 from qrobust.design import generators_to_json
 
@@ -633,3 +633,21 @@ def test_nan_is_refused(demo5_file, tmp_path, capsys, argv, error):
     assert main([argv[0], "--in", demo5_file, *argv[1:], "--out", str(out)]) == 2
     assert error in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_main_reuses_one_parser_without_carrying_flags(demo5_file, monkeypatch, capsys):
+    # build_parser gives a fresh parser; main parses with one per process,
+    # and a flag given to one call does not reach the next
+    assert build_parser() is not build_parser()
+    assert cli._parser() is cli._parser()
+    seeds = []
+
+    def config(args):
+        seeds.append((args.seed, args.mode))
+        return _solver_config(args)
+
+    monkeypatch.setattr(cli, "_solver_config", config)
+    assert main(["solve", "--in", demo5_file, "--seed", "7", "--mode", "heuristic"]) == 0
+    assert main(["solve", "--in", demo5_file]) == 0
+    assert seeds == [(7, "heuristic"), (cli.DEFAULT_SEED, "auto")]
+    assert capsys.readouterr().out.count("value=288") == 2

@@ -201,7 +201,7 @@ def test_spawned_workers_start_later_than_forked_ones(monkeypatch):
 
 def test_enumerated_analysis_caps_each_sweep(business_gen, monkeypatch):
     # a cap of 300 of the 512 assignments stops every sweep after 4 blocks
-    # of 64, whatever the chunk size
+    # of 64, whatever the product size
     _diff, _k, _design, instances = scenario_instances(business_gen)
     config = SolverConfig(time_budget=300 / solver._SWEEP_PER_S)
     _report, results = run_robust_analysis(business_gen, config)
@@ -209,7 +209,7 @@ def test_enumerated_analysis_caps_each_sweep(business_gen, monkeypatch):
     for res, inst in zip(results, instances):
         assert evaluate(inst, res.solution.bits) == res.value
         assert solve(inst, config).solution == res.solution
-    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)  # one block per chunk
+    monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)  # one block per product
     assert run_robust_analysis(business_gen, config)[1] == results
     _report, results = run_robust_analysis(business_gen, SolverConfig(time_budget=None))
     assert {r.status for r in results} == {PROVEN_OPTIMAL}

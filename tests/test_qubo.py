@@ -152,6 +152,40 @@ class TestStack:
                 assert same_bits(_sequential_sum(padded), _sequential_sum(t))
                 assert same_bits(_tie_tolerance(padded), _tie_tolerance(t))
 
+    def test_every_shape_sums_as_accumulate_does(self):
+        # several columns reduce a contiguous copy row by row; one column
+        # (k = 1, which NumPy may flatten into a pairwise sum) and a 1-D sum
+        # keep np.add.accumulate.  Each gives the accumulate form's bits
+        rng = np.random.default_rng(34)
+
+        def accumulated(t, axis=-1):
+            t = np.moveaxis(t, axis, 0)
+            return 0.0 + (np.add.accumulate(t)[-1] if len(t) else np.zeros(t.shape[1:]))
+
+        for trial in range(300):
+            k, u = (1 if trial % 3 == 0 else int(rng.integers(2, 12))), int(rng.integers(0, 90))
+            t = rng.normal(size=(k, u)) * 10.0 ** rng.integers(-6, 7, size=(k, u))
+            t[rng.random((k, u)) < 0.2] = 0.0
+            t[rng.random((k, u)) < 0.2] = -0.0
+            if trial % 10 == 0:
+                t[:] = -0.0
+            assert same_bits(_sequential_sum(t), accumulated(t))
+            assert same_bits(_sequential_sum(t.T, axis=0), accumulated(t.T, 0))
+            for row in t:
+                assert same_bits(_sequential_sum(row), accumulated(row))
+                loop = 0.0
+                for v in row:
+                    loop += v
+                assert same_bits(_sequential_sum(row), loop)
+
+    def test_one_assignment_scores_every_row_as_its_own_would(self):
+        rng = np.random.default_rng(35)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+            stack = _stack(dropping_mates(rng, n, k, 0.3))
+            x = rng.integers(0, 2, size=n).astype(float)
+            assert same_bits(_objectives(stack, x), _objectives(stack, np.tile(x, (k, 1))))
+
     def test_signed_zeros_sum_to_positive_zero(self):
         assert same_bits(_sequential_sum(np.array([-0.0, -0.0])), 0.0)
         assert same_bits(_sequential_sum(np.zeros(0)), 0.0)

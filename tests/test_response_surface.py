@@ -328,6 +328,17 @@ class TestSurfaceModel:
         with pytest.raises(ValueError, match="standard_error"):
             toy_model(se=se)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"intercept": float("nan")}, {"beta": (float("inf"), 1.0)}, {"beta": (1.0, float("nan"))},
+         {"se": float("inf")}],
+        ids=["nan-intercept", "inf-coefficient", "nan-coefficient", "inf-standard-error"],
+    )
+    def test_a_non_finite_number_is_refused(self, fields):
+        # as model_from_json refuses it: estimate would return NaN or inf
+        with pytest.raises(ValueError, match="finite"):
+            toy_model(**fields)
+
 
 class TestModelSerialization:
     def test_roundtrip(self, business_gen):

@@ -23,12 +23,16 @@ from qrobust.preprocess import _split, merge_assignment
 from qrobust.qubo import _tie_tolerance
 from qrobust.solver import (
     _LEAF_BITS,
+    _LOW_BITS,
     BUDGET_EXHAUSTED,
     HEURISTIC,
     PROVEN_OPTIMAL,
     SolverConfig,
+    _bits,
     _enumerate,
     _greedy_ascent,
+    _low_table,
+    _pairs,
     solve_batch,
 )
 
@@ -69,8 +73,9 @@ def dense_tolerance(d: np.ndarray, o: np.ndarray) -> np.ndarray:
 
 
 def leaf_max(d: np.ndarray, o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and binary index of one dense leaf's pick, as branch and bound scores it."""
-    values, codes, _scanned = _enumerate(d[None], o[None], dense_tolerance(d[None], o[None]), False)
+    """Value and binary index of one dense leaf's pick, by the reference sweep."""
+    tol = dense_tolerance(d[None], o[None])
+    values, codes, _scanned = reference_enumerate(d[None], o[None], tol, False)
     return values, codes
 
 
@@ -202,7 +207,8 @@ def reversed_instance(instance: QuboInstance) -> QuboInstance:
 class TestSolveBatch:
     @pytest.mark.parametrize("block_elements", [solver._BLOCK_ELEMENTS, 64], ids=["default", "64"])
     def test_matches_a_gray_walk(self, monkeypatch, block_elements):
-        # at 64, one block per chunk, so Gray-order chunks meet the walk
+        # at 64, one block per product, and each level of the pass is cut
+        # into pieces of a few prefixes
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", block_elements)
         rng = np.random.default_rng(21)
         for n in range(1, 13):
@@ -281,7 +287,7 @@ class TestSolveBatch:
 
     def test_budget_runs_out_for_the_whole_batch(self, monkeypatch):
         # a cap below one block still scans one block of 64 assignments of
-        # every instance, whatever the chunk size
+        # every instance, whatever the product size
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
         rng = np.random.default_rng(24)
         _diff, _k, _design, scenarios = scenario_instances(random_generators(rng, 10, 3))
@@ -328,6 +334,115 @@ class TestSolveBatch:
         assert out.status == PROVEN_OPTIMAL
 
 
+def reference_enumerate(
+    d: np.ndarray, o: np.ndarray, tol: np.ndarray, gray: bool, cap: float = np.inf
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Maximum of x^t m x over every assignment of each matrix of a stack, unpruned.
+
+    The package's sweep before its bounded pass, kept as the reference the
+    pass must match: it scores every block.
+
+    Matrix s has diagonal ``d[s]`` and off-diagonal part ``o[s]``
+    (symmetric, zero diagonal); ``d`` is (a, w).  Assignments run in binary
+    order, or in Gray-code order when ``gray``: index g stands for the
+    assignment with code ``g ^ (g >> 1)``, bit v of a code being x_v.  The
+    earliest assignment whose computed objective is at least the computed
+    maximum minus ``tol[s]`` wins.  Zero rows padded at the end of a matrix
+    change no pick in binary order: a padded assignment scores what its
+    unpadded prefix scores and comes later.
+
+    Index g splits into a block h of its high bits and a row r of its
+    ``low = min(w, _LOW_BITS)`` low bits.  For fixed high bits the
+    objective is linear in the low bits and their pair products, so a
+    block is ``_low_table`` scaled by coefficients folded from h; in Gray
+    order the high bits are gray(h) shifted up by low, and an odd block
+    runs through the table backwards (reflecting a Gray code flips its top
+    bit).  Every term enters once: a diagonal, or an off-diagonal pair
+    doubled, which the tie rule of the module docstring needs.
+
+    It runs in two phases.  The sweep scores chunks of blocks, each at most
+    about ``_BLOCK_ELEMENTS`` objectives, and keeps each chunk's maximum per
+    matrix and, where a matrix's maximum rises, the earliest index in that
+    chunk within ``tol[s]`` of it.  After the sweep the tie rule is settled
+    once: a matrix whose threshold an earlier chunk already reaches picks
+    in that chunk, scored again as the sweep scored it.  Memory holds one
+    chunk of objectives and one maximum per chunk per matrix.  Only the
+    first blocks that fit in ``cap`` assignments are scanned, at least
+    one.  Returns each matrix's computed value and assignment code at its
+    pick, and the assignments it scanned.
+    """
+    a, w = d.shape
+    low, high = min(w, _LOW_BITS), max(w - _LOW_BITS, 0)
+    rows, blocks = 1 << low, 1 << high
+    blocks = max(1, int(min(cap, blocks * rows)) // rows)  # min keeps an infinite cap from int
+    table = _low_table(low, gray)
+    i, j = _pairs(low)
+    hi, hj = _pairs(high)
+    # the coefficients of the table's first low + 1 rows are linear in the
+    # high bits and their pairs: fold[:, s] maps those to matrix s's
+    # constant (the high diagonals, and the high pairs doubled) and to its
+    # low bits' linear terms (their pairs with high bits, doubled)
+    fold = np.zeros((high + hi.size, a, 1 + low))
+    fold[:high, :, 0] = d[:, low:].T
+    fold[high:, :, 0] = 2.0 * o[:, low + hi, low + hj].T
+    fold[:high, :, 1:] = 2.0 * o[:, low:, :low].transpose(1, 0, 2)
+    base = np.concatenate([np.zeros((a, 1)), d[:, :low], 2.0 * o[:, i, j]], axis=1)
+
+    def scores(h0: int, h1: int, s: slice) -> np.ndarray:
+        """Objectives of blocks [h0, h1) of the matrices ``s``: (matrices, blocks, rows)."""
+        h = np.arange(h0, h1)
+        x = _bits(h ^ (h >> 1) if gray else h, high)
+        part = fold[:, s]
+        c = part.shape[1]
+        folded = np.hstack([x, x[:, hi] * x[:, hj]]) @ part.reshape(len(fold), c * (1 + low))
+        coef = np.empty((c, h1 - h0, len(table)))
+        coef[...] = base[s, None]
+        coef[..., : 1 + low] += folded.reshape(h1 - h0, c, 1 + low).transpose(1, 0, 2)
+        return (coef.reshape(-1, len(table)) @ table).reshape(c, h1 - h0, rows)
+
+    def earliest(vals: np.ndarray, thr: np.ndarray, h0: int) -> tuple:
+        """Index and value of each row's first objective at or above thr (one exists).
+
+        ``vals`` holds blocks from h0 on, rows in table order; an odd block
+        runs backwards in Gray order.
+        """
+        hit = vals >= thr[:, None, None]
+        if gray:
+            odd = slice((h0 + 1) % 2, None, 2)
+            hit[:, odd] = hit[:, odd, ::-1]
+        at = hit.reshape(len(hit), -1).argmax(axis=1)
+        b, r = np.divmod(at, rows)
+        if gray:
+            r = np.where((h0 + b) % 2 == 1, rows - 1 - r, r)
+        return h0 * rows + at, vals[np.arange(len(at)), b, r]
+
+    step = max(1, solver._BLOCK_ELEMENTS // (a * rows))
+    best = np.full(a, -np.inf)  # largest computed objective so far
+    first = np.zeros(a, dtype=np.int64)  # earliest index in its chunk within tol of it
+    first_val = np.full(a, -np.inf)
+    # each matrix's chunk maxima, a row each: a search along a row copies nothing
+    tops = np.empty((a, -(-blocks // step)))
+    for c, h0 in enumerate(range(0, blocks, step)):
+        vals = scores(h0, min(h0 + step, blocks), slice(None))
+        tops[:, c] = vals.reshape(a, -1).max(axis=1)
+        up = np.flatnonzero(tops[:, c] > best)
+        if up.size:
+            rising = vals if up.size == a else vals[up]
+            first[up], first_val[up] = earliest(rising, tops[up, c] - tol[up], h0)
+            best[up] = tops[up, c]
+    # the pick lies in the first chunk that reaches thr; where that chunk
+    # comes before the maximum's, it is scored again as the sweep scored
+    # it, the whole stack, so the objectives and their rounding repeat
+    thr = best - tol
+    pick = (tops >= thr[:, None]).argmax(axis=1)
+    for s in np.flatnonzero(pick < tops.argmax(axis=1)).tolist():
+        h0, one = int(pick[s]) * step, slice(s, s + 1)
+        vals = scores(h0, h0 + step, slice(None))[one]
+        first[one], first_val[one] = earliest(vals, thr[one], h0)
+    codes = first ^ (first >> 1) if gray else first
+    return first_val, codes, blocks * rows
+
+
 def binary_walk(d: np.ndarray, o: np.ndarray, tol: float) -> tuple[int, float]:
     """Earliest binary index within tol of the maximum of x^t m x, and its value.
 
@@ -350,7 +465,7 @@ def binary_walk(d: np.ndarray, o: np.ndarray, tol: float) -> tuple[int, float]:
 
 class TestEnumerate:
     def test_binary_order_matches_a_python_walk(self, monkeypatch):
-        # several chunks per stack; every other leaf has zero rows padded at
+        # several products per stack; every other leaf has zero rows padded at
         # its end, so its maximum repeats in later blocks
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
         rng = np.random.default_rng(41)
@@ -374,9 +489,9 @@ class TestEnumerate:
 
     def test_near_tie_across_chunks_is_rescored(self, monkeypatch):
         # x0, x6 and x7 alone score 1, 1 + 0.6 tol and 1 + 1.2 tol at Gray
-        # indices 1, 127 and 255: blocks 0, 1 and 3 of 64 rows.  With one
-        # block per chunk, x7 raises the maximum past x0's reach, and the
-        # chunk of x6 is scored again to find the earliest within tol
+        # indices 1, 127 and 255: blocks 0, 1 and 3 of 64 rows.  x7 raises
+        # the maximum past x0's reach, and the block of x6, scored before
+        # it, holds the earliest within tol, whatever the product size
         cut = {(i, j): -1000.0 for i, j in ((0, 6), (0, 7), (6, 7))}
         tol = 11 * np.finfo(float).eps * (3.0 + 5.0 + 6000.0)
         coeffs = {**cut, (0, 0): 1.0, (6, 6): 1.0 + 0.6 * tol, (7, 7): 1.0 + 1.2 * tol}
@@ -388,12 +503,12 @@ class TestEnumerate:
         assert solve_exact(inst).solution.bits == want
 
     def test_near_ties_of_a_stack_settle_in_their_own_chunks(self, monkeypatch):
-        # one block of 64 binary indices per chunk; x6, x7 and x8 alone sit
-        # at indices 64, 128 and 256, chunks 1, 2 and 4.  Each matrix scores
-        # three variables alone at 1, 1 + 0.6 tol and 1 + 1.2 tol (pairs cut
-        # off, the rest negative): the middle one is the earliest within tol
-        # of the maximum, in chunk 0, 1 or 2 before the maximum's chunk 2 or
-        # 4.  The last matrix has no near-tie.
+        # one block of 64 binary indices per product; x6, x7 and x8 alone
+        # sit at indices 64, 128 and 256, blocks 1, 2 and 4.  Each matrix
+        # scores three variables alone at 1, 1 + 0.6 tol and 1 + 1.2 tol
+        # (pairs cut off, the rest negative): the middle one is the earliest
+        # within tol of the maximum, in block 0, 1 or 2 before the maximum's
+        # block 2 or 4.  The last matrix has no near-tie.
         monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
         width = 9
         tol = 15 * np.finfo(float).eps * (3.0 + 6.0 + 6000.0)
@@ -413,6 +528,91 @@ class TestEnumerate:
             t, value = binary_walk(d[s], o[s], float(tols[s]))
             alone = _enumerate(d[s : s + 1], o[s : s + 1], tols[s : s + 1], False)
             assert (codes[s], values[s]) == (t, value) == (alone[1][0], alone[0][0])
+
+
+def planted_stack(rng, a: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of ``a`` dense matrices of tenths, float near-ties planted among the optima.
+
+    An even matrix is negative but for x_u alone, scoring 0.3, and x_v with
+    x_w, scoring 0.1 + 0.2, which computes 0.30000000000000004 or 0.3 by
+    the order of the sum: the two tie for the maximum, inside one block
+    when the three sit in the low bits (every fourth matrix) and mostly
+    across blocks otherwise.  An odd matrix draws every entry as a tenth of
+    either sign.  Every third matrix has its last width // 3 rows zero.
+    """
+    d, o = np.zeros((a, width)), np.zeros((a, width, width))
+    for s in range(a):
+        f = width - (width // 3 if s % 3 == 2 else 0)
+        iu, ju = np.triu_indices(f, 1)
+        if s % 2:
+            d[s, :f] = [tenths(rng) for _ in range(f)]
+            o[s, iu, ju] = [tenths(rng) for _ in range(iu.size)]
+        else:
+            d[s, :f] = -0.1 * rng.integers(1, 10, size=f)
+            o[s, iu, ju] = -0.1 * rng.integers(0, 10, size=iu.size)
+            if f >= 3:
+                u, v, w = rng.choice(min(f, _LOW_BITS) if s % 4 == 0 else f, 3, replace=False)
+                d[s, [u, v, w]] = 0.3, 0.1, 0.2
+                o[s, min(u, v), max(u, v)] = o[s, min(u, w), max(u, w)] = -1.0
+                o[s, min(v, w), max(v, w)] = 0.0
+        o[s] += o[s].T
+    return d, o
+
+
+class TestBoundedPass:
+    @pytest.mark.parametrize("block_elements", [solver._BLOCK_ELEMENTS, 64, 1], ids=["default", "64", "1"])
+    def test_matches_the_reference_sweep(self, monkeypatch, block_elements):
+        # small chunks start the pass at the root and cut each level into
+        # pieces; a value may differ from the reference's by its rounding
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(45)
+        for width in (1, 3, 6, 7, 9, 12, 14):
+            d, o = planted_stack(rng, 8, width)
+            tol = dense_tolerance(d, o)
+            for gray in (False, True):
+                for cap in (np.inf, 200.0):
+                    want = reference_enumerate(d, o, tol, gray, cap)
+                    values, codes, scanned = _enumerate(d, o, tol, gray, cap)
+                    assert codes.tolist() == want[1].tolist()
+                    assert scanned == want[2]
+                    assert np.all(np.abs(values - want[0]) <= tol)
+
+    def test_a_floor_keeps_every_pick_that_reaches_it(self, monkeypatch):
+        # a floor 0.05 below a matrix's maximum (its values are tenths apart
+        # or tied) keeps the reference's pick; one 0.05 above it leaves a
+        # value below the floor
+        monkeypatch.setattr(solver, "_BLOCK_ELEMENTS", 64)
+        rng = np.random.default_rng(46)
+        for width in (4, 8, 11):
+            d, o = planted_stack(rng, 6, width)
+            tol = dense_tolerance(d, o)
+            x = _bits(np.arange(1 << width), width)
+            top = np.array([(x @ d[s] + np.einsum("ti,ij,tj->t", x, o[s], x)).max() for s in range(6)])
+            reach = np.arange(6) % 2 == 0
+            floor = np.where(reach, top - 0.05, top + 0.05)
+            values, codes, _scanned = _enumerate(d, o, tol, False, floor=floor)
+            want = reference_enumerate(d, o, tol, False)
+            assert codes[reach].tolist() == want[1][reach].tolist()
+            assert np.all(values[~reach] < floor[~reach])
+
+    def test_the_pass_scores_fewer_blocks_than_it_covers(self, business_gen, monkeypatch):
+        # every scenario of the business generators covers 8 blocks of 64
+        # assignments; the bounds drop over a third of them unscored
+        scored = []
+        records = solver._records
+
+        def counted(kept, s, *rest):
+            scored.append(len(s))
+            return records(kept, s, *rest)
+
+        monkeypatch.setattr(solver, "_records", counted)
+        _diff, k, _design, scenarios = scenario_instances(business_gen)
+        outcomes = solve_batch(scenarios, SolverConfig(time_budget=None))
+        assert {out.nodes_or_iterations for out in outcomes} == {1 << business_gen.n}
+        blocks = k << (business_gen.n - _LOW_BITS)
+        assert k <= sum(scored) < 2 * blocks / 3
+        for inst, out in zip(scenarios, outcomes):
+            assert (out.solution.bits, out.solution.value) == gray_walk(inst)
 
 
 def float_generators(rng, n: int, density: float, d: int, draw) -> ScenarioGenerators:
